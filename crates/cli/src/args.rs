@@ -13,17 +13,21 @@ pub struct Args {
 const BOOL_FLAGS: &[&str] = &["baseline", "rigid", "fast", "abacus", "route"];
 
 impl Args {
-    /// Parses a raw argument list.
+    /// Parses a raw argument list; `accepted` names the subcommand's flags
+    /// (without the leading `--`).
     ///
     /// # Errors
     ///
-    /// Rejects unknown `--flags` syntax errors (a value flag at the end of
-    /// the line without a value).
-    pub fn parse(raw: &[String]) -> Result<Args, String> {
+    /// Rejects `--flags` not in `accepted` and syntax errors (a value flag
+    /// at the end of the line without a value).
+    pub fn parse(raw: &[String], accepted: &[&str]) -> Result<Args, String> {
         let mut args = Args::default();
-        let mut it = raw.iter().peekable();
+        let mut it = raw.iter();
         while let Some(tok) = it.next() {
             if let Some(name) = tok.strip_prefix("--") {
+                if !accepted.contains(&name) {
+                    return Err(format!("unknown flag `--{name}`"));
+                }
                 if BOOL_FLAGS.contains(&name) {
                     args.options.insert(name.to_string(), None);
                 } else {
@@ -72,8 +76,17 @@ impl Args {
 mod tests {
     use super::*;
 
+    const ACCEPTED: &[&str] = &["baseline", "rigid", "seed", "tracks"];
+
+    fn try_parse(s: &[&str]) -> Result<Args, String> {
+        Args::parse(
+            &s.iter().map(|x| x.to_string()).collect::<Vec<_>>(),
+            ACCEPTED,
+        )
+    }
+
     fn parse(s: &[&str]) -> Args {
-        Args::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
+        try_parse(s).unwrap()
     }
 
     #[test]
@@ -88,8 +101,15 @@ mod tests {
 
     #[test]
     fn missing_value_is_an_error() {
-        let raw: Vec<String> = vec!["--seed".into()];
-        assert!(Args::parse(&raw).is_err());
+        assert!(try_parse(&["--seed"]).is_err());
+    }
+
+    #[test]
+    fn unknown_flag_is_an_error() {
+        let e = try_parse(&["case.aux", "--seeds", "3"]).unwrap_err();
+        assert!(e.contains("--seeds"), "{e}");
+        // A flag valid for another subcommand is unknown here too.
+        assert!(try_parse(&["--fast"]).is_err());
     }
 
     #[test]

@@ -9,7 +9,7 @@ use sdp_netlist::validate_netlist;
 
 /// Runs the subcommand.
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["route"])?;
     let path = args.positional(0).ok_or("eval needs a .aux path")?;
     let case = load_case(path)?;
 

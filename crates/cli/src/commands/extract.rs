@@ -7,7 +7,7 @@ use sdp_extract::{extract, ExtractConfig};
 
 /// Runs the subcommand.
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["rounds"])?;
     let path = args.positional(0).ok_or("extract needs a .aux path")?;
     let case = load_case(path)?;
     let config = ExtractConfig {

@@ -7,7 +7,7 @@ use sdp_netlist::{write_bookshelf, NetlistStats};
 
 /// Runs the subcommand.
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["seed", "gates", "fraction", "out"])?;
     let seed: u64 = args.number("seed")?.unwrap_or(1);
 
     let config = match (args.positional(0), args.number::<usize>("gates")?) {

@@ -8,7 +8,12 @@ use sdp_netlist::write_bookshelf;
 
 /// Runs the subcommand.
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(
+        raw,
+        &[
+            "baseline", "rigid", "fast", "abacus", "mode", "seed", "threads", "out", "svg",
+        ],
+    )?;
     let path = args.positional(0).ok_or("place needs a .aux path")?;
     if args.flag("baseline") && args.flag("rigid") {
         return Err("--baseline and --rigid are mutually exclusive".into());
@@ -34,10 +39,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     }
     if let Some(threads) = args.number::<usize>("threads")? {
         config = config.with_threads(threads);
-    }
-    if let Some(name) = args.value("solver") {
-        config.gp.solver = sdp_gp::GpSolver::parse(name)
-            .ok_or_else(|| format!("unknown --solver '{name}' (expected cg or nesterov)"))?;
     }
     if let Some(name) = args.value("mode") {
         config.mode = match name {

@@ -7,7 +7,7 @@ use sdp_route::{route, rudy_map, RouteConfig};
 
 /// Runs the subcommand.
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &["tracks", "svg"])?;
     let path = args.positional(0).ok_or("route needs a .aux path")?;
     let case = load_case(path)?;
     let config = RouteConfig {

@@ -7,7 +7,18 @@ use sdp_serve::{Server, ServerConfig};
 /// closing the pipe), then shuts down gracefully, draining queued and
 /// in-flight jobs.
 pub fn run(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(
+        raw,
+        &[
+            "port",
+            "workers",
+            "queue-depth",
+            "retain",
+            "cache-bytes",
+            "state-dir",
+            "threads",
+        ],
+    )?;
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
         port: args.number::<u16>("port")?.unwrap_or(7878),

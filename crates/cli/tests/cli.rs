@@ -131,6 +131,17 @@ fn place_baseline_and_rigid_conflict() {
 }
 
 #[test]
+fn place_rejects_unknown_flags() {
+    // Rejected while parsing, before the bundle is even opened.
+    for (flag, value) in [("--solver", "cg"), ("--seeds", "3")] {
+        let out = sdplace(&["place", "whatever.aux", flag, value]);
+        assert!(!out.status.success(), "{flag} must fail");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+    }
+}
+
+#[test]
 fn gen_custom_fraction_design() {
     let prefix = tmp("custom/sweep");
     let prefix_s = prefix.to_str().expect("utf-8");

@@ -89,10 +89,6 @@ pub struct FlowConfig {
     pub refine_outers: usize,
     /// Detailed-placement passes (0 disables the phase).
     pub detailed_passes: usize,
-    /// Routability-driven rounds: after global placement, cells sitting in
-    /// RUDY hotspots are inflated and the placement is re-spread (the
-    /// NTUplace4-style cell-inflation loop). `0` disables the mechanism.
-    pub routability_rounds: usize,
     /// Legalization algorithm.
     pub legalizer: LegalizerKind,
     /// What the flow optimizes and reports ([`FlowMode`]). `Route` runs
@@ -121,7 +117,6 @@ impl Default for FlowConfig {
             dp_net_weight: 2.0,
             refine_outers: 8,
             detailed_passes: 2,
-            routability_rounds: 0,
             legalizer: LegalizerKind::default(),
             mode: FlowMode::default(),
         }
@@ -317,95 +312,48 @@ impl StructurePlacer {
             },
         );
         align_term.restrict_axes(netlist, max_row_width);
-        let gp_stats = if self.config.structure_aware {
-            let mut stats = placer.place_inflated_observed(
+        // The baseline runs the same two passes without the alignment
+        // term (`gp_netlist` is `netlist` itself when not structure-aware).
+        let aware = self.config.structure_aware;
+        let mut gp_stats = placer.place_inflated_observed(
+            gp_netlist,
+            design,
+            &mut placement,
+            aware.then_some(&mut align_term as &mut dyn ExtraTerm),
+            None,
+            Some(netlist),
+            obs,
+        )?;
+        if self.config.refine_outers > 0 {
+            // Alignment refinement (iteration-fair for the baseline):
+            // never stop early, no fresh clustering, moderate inner budget.
+            let refine = GlobalPlacer::new(GpConfig {
+                max_outer: self.config.refine_outers,
+                target_overflow: 0.0,
+                inner_iters: self.config.gp.inner_iters.min(40),
+                cluster_threshold: 0,
+                ..self.config.gp
+            });
+            let rstats = refine.place_inflated_observed(
                 gp_netlist,
                 design,
                 &mut placement,
-                Some(&mut align_term as &mut dyn ExtraTerm),
+                aware.then_some(&mut align_term as &mut dyn ExtraTerm),
                 None,
                 Some(netlist),
                 obs,
             )?;
-            if self.config.refine_outers > 0 {
-                // Alignment refinement: never stop early, no fresh
-                // clustering, moderate inner budget.
-                let refine = GlobalPlacer::new(GpConfig {
-                    max_outer: self.config.refine_outers,
-                    target_overflow: 0.0,
-                    inner_iters: self.config.gp.inner_iters.min(40),
-                    cluster_threshold: 0,
-                    ..self.config.gp
-                });
-                let rstats = refine.place_inflated_observed(
-                    gp_netlist,
-                    design,
-                    &mut placement,
-                    Some(&mut align_term as &mut dyn ExtraTerm),
-                    None,
-                    Some(netlist),
-                    obs,
-                )?;
-                stats
-                    .trace
-                    .extend(rstats.trace.iter().map(|t| sdp_gp::IterationTrace {
-                        outer: t.outer + stats.outer_iters,
-                        ..*t
-                    }));
-                stats.outer_iters += rstats.outer_iters;
-                stats.final_hpwl = rstats.final_hpwl;
-                stats.final_overflow = rstats.final_overflow;
-                stats.seconds += rstats.seconds;
-                stats.evals += rstats.evals;
-            }
-            stats
-        } else {
-            // Iteration-fair baseline: the oblivious flow gets the same
-            // extra refinement outers (plain wirelength/density only).
-            let mut stats = placer.place_inflated_observed(
-                netlist,
-                design,
-                &mut placement,
-                None,
-                None,
-                None,
-                obs,
-            )?;
-            if self.config.refine_outers > 0 {
-                let refine = GlobalPlacer::new(GpConfig {
-                    max_outer: self.config.refine_outers,
-                    target_overflow: 0.0,
-                    inner_iters: self.config.gp.inner_iters.min(40),
-                    cluster_threshold: 0,
-                    ..self.config.gp
-                });
-                let rstats = refine.place_inflated_observed(
-                    netlist,
-                    design,
-                    &mut placement,
-                    None,
-                    None,
-                    None,
-                    obs,
-                )?;
-                stats
-                    .trace
-                    .extend(rstats.trace.iter().map(|t| sdp_gp::IterationTrace {
-                        outer: t.outer + stats.outer_iters,
-                        ..*t
-                    }));
-                stats.outer_iters += rstats.outer_iters;
-                stats.final_hpwl = rstats.final_hpwl;
-                stats.final_overflow = rstats.final_overflow;
-                stats.seconds += rstats.seconds;
-                stats.evals += rstats.evals;
-            }
-            stats
-        };
-        let mut gp_stats = gp_stats;
-        if self.config.routability_rounds > 0 {
-            gp_stats =
-                self.routability_spread(gp_netlist, design, &mut placement, gp_stats, obs)?;
+            gp_stats
+                .trace
+                .extend(rstats.trace.iter().map(|t| sdp_gp::IterationTrace {
+                    outer: t.outer + gp_stats.outer_iters,
+                    ..*t
+                }));
+            gp_stats.outer_iters += rstats.outer_iters;
+            gp_stats.final_hpwl = rstats.final_hpwl;
+            gp_stats.final_overflow = rstats.final_overflow;
+            gp_stats.seconds += rstats.seconds;
+            gp_stats.evals += rstats.evals;
         }
         let groups = align_term.groups().to_vec();
         times.global = obs.seconds_since(t0);
@@ -672,91 +620,6 @@ fn split_bits(g: &DatapathGroup, per: usize) -> Vec<DatapathGroup> {
             chunk
         })
         .collect()
-}
-
-impl StructurePlacer {
-    /// The cell-inflation loop: estimate routing demand with RUDY, inflate
-    /// cells in hotspots (demand above the mean), and re-spread with a
-    /// short placement pass; repeat up to `routability_rounds` times or
-    /// until no hotspot remains.
-    fn routability_spread(
-        &self,
-        netlist: &Netlist,
-        design: &Design,
-        placement: &mut Placement,
-        mut stats: PlaceStats,
-        obs: &Observer,
-    ) -> Result<PlaceStats, Cancelled> {
-        let res = 2 * sdp_gp::DensityModel::default_resolution(netlist.num_movable());
-        // A round must improve *routed* congestion to be kept — and the
-        // judgement is made on a snapshot carried through legalization AND
-        // detailed placement, because a spread that looks better at the
-        // global-placement stage can reverse downstream (observed on
-        // dp_large). RUDY peak was tried first and is unreliable.
-        // Wirelength breaks ties.
-        let score = |pl: &Placement| -> (u64, f64) {
-            let mut snap = pl.clone();
-            legalize(netlist, design, &mut snap, &LegalizeOptions::default());
-            detailed_place(
-                netlist,
-                design,
-                &mut snap,
-                &DetailedOptions {
-                    passes: 1,
-                    ..DetailedOptions::default()
-                },
-            );
-            let r = sdp_route::route(netlist, &snap, design, &sdp_route::RouteConfig::default());
-            (r.overflow, r.wirelength)
-        };
-        let mut best = placement.clone();
-        let mut best_score = score(placement);
-        let mut inflation = vec![1.0f64; netlist.num_cells()];
-        let exec = Executor::new(self.config.gp.threads);
-        for _round in 0..self.config.routability_rounds {
-            obs.checkpoint()?;
-            let (grid, demand) = rudy_map_exec(netlist, placement, design, res, res, &exec);
-            let inf = inflate_cells(
-                netlist,
-                placement,
-                &grid,
-                &demand,
-                &InflateConfig::default(),
-                &mut inflation,
-                &exec,
-            );
-            if inf.grown == 0 {
-                break;
-            }
-            let spreader = GlobalPlacer::new(GpConfig {
-                max_outer: 6,
-                target_overflow: self.config.gp.target_overflow,
-                inner_iters: self.config.gp.inner_iters.min(40),
-                cluster_threshold: 0,
-                ..self.config.gp
-            });
-            let r = spreader.place_inflated_observed(
-                netlist,
-                design,
-                placement,
-                None,
-                Some(&inflation),
-                None,
-                obs,
-            )?;
-            stats.outer_iters += r.outer_iters;
-            stats.seconds += r.seconds;
-            stats.evals += r.evals;
-            let s = score(placement);
-            if s < best_score {
-                best_score = s;
-                best = placement.clone();
-            }
-        }
-        *placement = best;
-        stats.final_hpwl = sdp_gp::hpwl(netlist, placement.positions());
-        Ok(stats)
-    }
 }
 
 /// Clones the netlist with intra-group *bit-level* net weights multiplied
@@ -1081,16 +944,6 @@ mod tests {
         cfg.legalizer = crate::flow::LegalizerKind::Abacus;
         let out = StructurePlacer::new(cfg).place(&d.netlist, &d.design, &d.placement);
         assert_eq!(out.legal_violations, 0);
-    }
-
-    #[test]
-    fn routability_rounds_keep_the_flow_legal() {
-        let d = generate(&GenConfig::named("dp_tiny", 11).unwrap());
-        let mut cfg = FlowConfig::fast();
-        cfg.routability_rounds = 2;
-        let out = StructurePlacer::new(cfg).place(&d.netlist, &d.design, &d.placement);
-        assert_eq!(out.legal_violations, 0);
-        assert!(out.report.hpwl.total > 0.0);
     }
 
     #[test]

@@ -10,11 +10,8 @@
 //!   ([`density`]);
 //! * a **preconditioned Nesterov** accelerated-gradient minimizer
 //!   (ePlace-style Lipschitz step prediction, per-cell diagonal
-//!   preconditioner, restart on objective increase) — the default inner
-//!   solver ([`nesterov`]);
-//! * a **Polak–Ribière conjugate-gradient** minimizer with Armijo
-//!   back-tracking line search, kept as the fallback and A/B reference
-//!   ([`optimizer`], selected via [`placer::GpSolver`]);
+//!   preconditioner, restart on objective increase) — the inner solver
+//!   ([`nesterov`]);
 //! * **first-choice clustering** for a multilevel V-cycle ([`cluster`]);
 //! * the **outer placement loop** with λ (density-weight) scheduling
 //!   ([`placer`]);
@@ -43,13 +40,11 @@ pub mod cluster;
 pub mod density;
 pub mod exec;
 pub mod nesterov;
-pub mod optimizer;
 pub mod placer;
 pub mod wirelength;
 
 pub use density::DensityModel;
 pub use exec::Executor;
-pub use nesterov::{minimize_nesterov, NesterovOptions};
-pub use optimizer::{minimize_cg, CgOptions, Objective, SolveResult};
-pub use placer::{ExtraTerm, GlobalPlacer, GpConfig, GpSolver, IterationTrace, PlaceStats};
+pub use nesterov::{minimize_nesterov, NesterovOptions, Objective, SolveResult};
+pub use placer::{ExtraTerm, GlobalPlacer, GpConfig, IterationTrace, PlaceStats};
 pub use wirelength::{eval_wirelength_with, hpwl, WirelengthModel};

@@ -1,8 +1,8 @@
 //! Preconditioned Nesterov accelerated-gradient minimizer (ePlace-style).
 //!
-//! The classic alternative to conjugate gradients for nonlinear placement
-//! (Lu et al., *ePlace*, TODAES'15; carried forward by RePlAce and
-//! DG-RePlAce): a major/reference solution pair driven by Nesterov's
+//! The inner solver of the global placer (Lu et al., *ePlace*, TODAES'15;
+//! carried forward by RePlAce and DG-RePlAce): a major/reference solution
+//! pair driven by Nesterov's
 //! optimal first-order momentum schedule, a **Lipschitz-constant step
 //! prediction** in place of a back-tracking line search (typically 1–2
 //! objective evaluations per iteration where Armijo back-tracking may
@@ -17,8 +17,31 @@
 //! solver trajectory is bitwise identical at any `--threads` setting.
 
 use crate::exec::{chunk_count, chunk_range, Executor};
-use crate::optimizer::{Objective, SolveResult};
 use sdp_geom::Point;
+
+/// A differentiable objective over a point vector.
+pub trait Objective {
+    /// Evaluates the objective at `x`, writing the gradient into `grad`
+    /// (same length as `x`, pre-zeroed by the *callee*). Returns the value.
+    fn eval(&mut self, x: &[Point], grad: &mut [Point]) -> f64;
+
+    /// Optional projection applied after every accepted step (e.g. clamping
+    /// into the placement region).
+    fn project(&self, _x: &mut [Point]) {}
+}
+
+/// Result of a [`minimize_nesterov`] run.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SolveResult {
+    /// Final objective value.
+    pub value: f64,
+    /// Iterations actually performed.
+    pub iters: usize,
+    /// Function evaluations performed.
+    pub evals: usize,
+    /// `true` if stopped on the gradient tolerance.
+    pub converged: bool,
+}
 
 /// Options for [`minimize_nesterov`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -156,7 +179,7 @@ pub fn minimize_nesterov<O: Objective>(
     let mut grad_new = vec![Point::ORIGIN; n];
     let mut pg_new = vec![Point::ORIGIN; n];
 
-    // First step moves cells about `step_hint` units, like the CG path.
+    // First step moves cells about `step_hint` units.
     let mut alpha = opts.step_hint / rms(exec, &pg).max(1e-18);
     let mut ak = 1.0f64;
     let mut stalled = 0usize;
@@ -245,7 +268,51 @@ pub fn minimize_nesterov<O: Objective>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::tests::{Bowl, ProjectedBowl, Rosenbrock};
+
+    /// Convex quadratic bowl: f = Σ |p − target|².
+    struct Bowl {
+        targets: Vec<Point>,
+    }
+
+    impl Objective for Bowl {
+        fn eval(&mut self, x: &[Point], grad: &mut [Point]) -> f64 {
+            let mut v = 0.0;
+            for i in 0..x.len() {
+                let d = x[i] - self.targets[i];
+                v += d.norm_sq();
+                grad[i] = d * 2.0;
+            }
+            v
+        }
+    }
+
+    /// Rosenbrock in 2-D embedded in one Point.
+    struct Rosenbrock;
+
+    impl Objective for Rosenbrock {
+        fn eval(&mut self, x: &[Point], grad: &mut [Point]) -> f64 {
+            let (a, b) = (x[0].x, x[0].y);
+            let v = (1.0 - a).powi(2) + 100.0 * (b - a * a).powi(2);
+            grad[0] = Point::new(
+                -2.0 * (1.0 - a) - 400.0 * a * (b - a * a),
+                200.0 * (b - a * a),
+            );
+            v
+        }
+    }
+
+    /// Projection must be respected: constrain to x ≥ 1.
+    struct ProjectedBowl;
+
+    impl Objective for ProjectedBowl {
+        fn eval(&mut self, x: &[Point], grad: &mut [Point]) -> f64 {
+            grad[0] = x[0] * 2.0;
+            x[0].norm_sq()
+        }
+        fn project(&self, x: &mut [Point]) {
+            x[0].x = x[0].x.max(1.0);
+        }
+    }
 
     fn seq() -> Executor {
         Executor::sequential()

@@ -5,8 +5,7 @@
 use crate::cluster::{self, Clustering};
 use crate::density::DensityModel;
 use crate::exec::Executor;
-use crate::nesterov::{minimize_nesterov, NesterovOptions};
-use crate::optimizer::{minimize_cg, CgOptions, Objective};
+use crate::nesterov::{minimize_nesterov, NesterovOptions, Objective};
 use crate::wirelength::{eval_wirelength_with, hpwl, WirelengthModel};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -29,39 +28,6 @@ pub trait ExtraTerm {
     fn begin_outer(&mut self, _outer: usize, _overflow: f64, _pos: &[Point]) {}
 }
 
-/// Which inner solver drives each outer iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum GpSolver {
-    /// Polak–Ribière+ conjugate gradients with Armijo back-tracking.
-    /// Kept as the fallback and A/B reference; spends up to
-    /// `max_backtracks` objective evaluations per line search.
-    Cg,
-    /// Preconditioned Nesterov accelerated gradient (ePlace-style):
-    /// Lipschitz step prediction (1–2 evaluations per iteration) with a
-    /// per-cell diagonal preconditioner rebuilt each outer iteration.
-    #[default]
-    Nesterov,
-}
-
-impl GpSolver {
-    /// Parses a CLI/job-spec name (`"cg"` or `"nesterov"`).
-    pub fn parse(name: &str) -> Option<GpSolver> {
-        match name {
-            "cg" => Some(GpSolver::Cg),
-            "nesterov" => Some(GpSolver::Nesterov),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling accepted by [`GpSolver::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            GpSolver::Cg => "cg",
-            GpSolver::Nesterov => "nesterov",
-        }
-    }
-}
-
 /// Global placement configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpConfig {
@@ -73,7 +39,7 @@ pub struct GpConfig {
     pub target_overflow: f64,
     /// Maximum outer iterations (λ doublings).
     pub max_outer: usize,
-    /// CG iterations per outer iteration.
+    /// Nesterov iterations per outer iteration.
     pub inner_iters: usize,
     /// λ multiplier per outer iteration.
     pub lambda_factor: f64,
@@ -88,9 +54,6 @@ pub struct GpConfig {
     /// parallelism, `1` = the sequential legacy path. Results are bitwise
     /// identical at every thread count.
     pub threads: usize,
-    /// Inner solver for the unconstrained minimization each outer
-    /// iteration (default: preconditioned Nesterov).
-    pub solver: GpSolver,
 }
 
 impl Default for GpConfig {
@@ -106,7 +69,6 @@ impl Default for GpConfig {
             seed: 1,
             cluster_threshold: 12_000,
             threads: 0,
-            solver: GpSolver::default(),
         }
     }
 }
@@ -382,10 +344,8 @@ impl GlobalPlacer {
                 e.begin_outer(outer, density.overflow(), placement.positions());
             }
             // The diagonal preconditioner tracks λ, so rebuild it every
-            // outer iteration (CG ignores it).
-            if self.config.solver == GpSolver::Nesterov {
-                build_preconditioner(netlist, &movable, wl_scale, lambda, bin_area, &mut precond);
-            }
+            // outer iteration.
+            build_preconditioner(netlist, &movable, wl_scale, lambda, bin_area, &mut precond);
             let solve = {
                 let mut obj = Composed {
                     netlist,
@@ -402,38 +362,25 @@ impl GlobalPlacer {
                     wl_scale,
                     exec: &exec,
                 };
-                match self.config.solver {
-                    GpSolver::Cg => minimize_cg(
-                        &mut obj,
-                        &mut x,
-                        &CgOptions {
-                            max_iters: self.config.inner_iters,
-                            step_hint,
-                            ..CgOptions::default()
-                        },
-                    ),
-                    GpSolver::Nesterov => {
-                        let mut r = minimize_nesterov(
-                            &mut obj,
-                            &mut x,
-                            &precond,
-                            &NesterovOptions {
-                                max_iters: self.config.inner_iters,
-                                step_hint,
-                                ..NesterovOptions::default()
-                            },
-                            &exec,
-                        );
-                        // Nesterov's last evaluation was at the reference
-                        // point, not the returned major solution; re-evaluate
-                        // at `x` so the density state behind `overflow()` (and
-                        // the λ schedule it drives) matches the positions kept.
-                        let mut g = vec![Point::ORIGIN; x.len()];
-                        r.value = obj.eval(&x, &mut g);
-                        r.evals += 1;
-                        r
-                    }
-                }
+                let mut r = minimize_nesterov(
+                    &mut obj,
+                    &mut x,
+                    &precond,
+                    &NesterovOptions {
+                        max_iters: self.config.inner_iters,
+                        step_hint,
+                        ..NesterovOptions::default()
+                    },
+                    &exec,
+                );
+                // Nesterov's last evaluation was at the reference point,
+                // not the returned major solution; re-evaluate at `x` so the
+                // density state behind `overflow()` (and the λ schedule it
+                // drives) matches the positions kept.
+                let mut g = vec![Point::ORIGIN; x.len()];
+                r.value = obj.eval(&x, &mut g);
+                r.evals += 1;
+                r
             };
             for (k, &c) in movable.iter().enumerate() {
                 placement.set(c, x[k]);
@@ -673,27 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn cg_fallback_solver_still_places() {
-        let mut d = generate(&GenConfig::named("dp_tiny", 3).unwrap());
-        let placer = GlobalPlacer::new(GpConfig {
-            solver: GpSolver::Cg,
-            ..GpConfig::fast()
-        });
-        let stats = placer.place(&d.netlist, &d.design, &mut d.placement, None);
-        assert!(
-            stats.final_overflow <= 0.5,
-            "overflow {}",
-            stats.final_overflow
-        );
-        assert!(stats.evals > 0);
-        assert_eq!(
-            stats.evals,
-            stats.trace.iter().map(|t| t.evals).sum::<usize>(),
-            "per-iteration evals must sum to the total"
-        );
-    }
-
-    #[test]
     fn default_solver_tracks_evals_in_trace() {
         let mut d = generate(&GenConfig::named("dp_tiny", 3).unwrap());
         let placer = GlobalPlacer::new(GpConfig::fast());
@@ -704,15 +630,6 @@ mod tests {
             stats.trace.iter().map(|t| t.evals).sum::<usize>()
         );
         assert!(stats.trace.iter().all(|t| t.evals > 0));
-    }
-
-    #[test]
-    fn solver_names_round_trip() {
-        for s in [GpSolver::Cg, GpSolver::Nesterov] {
-            assert_eq!(GpSolver::parse(s.name()), Some(s));
-        }
-        assert_eq!(GpSolver::parse("adam"), None);
-        assert_eq!(GpSolver::default(), GpSolver::Nesterov);
     }
 
     #[test]

@@ -138,11 +138,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a request body of a
+/// few hundred KB of `[` overflow the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a strict JSON document (the whole input must be one value).
+/// Nesting deeper than [`MAX_DEPTH`] is an error.
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         s: text.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.ws();
@@ -155,6 +162,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -204,8 +213,19 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonError> {
         self.ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -519,6 +539,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let e = parse(&"[".repeat(1_000_000)).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "stops at the first level too deep");
+        assert!(e.message.contains("nesting"), "{e}");
+        // Exactly MAX_DEPTH levels still parse, arrays and objects alike.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
+        let objs = format!("{}1{}", r#"{"a":"#.repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objs).is_ok());
+        assert!(parse(&format!("[{objs}]")).is_err());
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::rules::{diag_if_unsuppressed, matches_seq, matching_brace, Diagnostic
 use std::collections::VecDeque;
 
 /// Solver inner-iteration roots.
-pub const HOT_ROOTS: &[&str] = &["minimize_nesterov", "minimize_cg"];
+pub const HOT_ROOTS: &[&str] = &["minimize_nesterov"];
 
 /// The only crate whose fns can join the hot set (see module docs).
 const HOT_CRATE: &str = "gp";

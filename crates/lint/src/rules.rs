@@ -319,9 +319,8 @@ impl Rule {
                  `// sdp-lint: allow(determinism-taint) -- <reason>`."
             }
             Rule::HotLoopAlloc => {
-                "The call graph marks functions invoked from the Nesterov/CG solver \
-                 iteration bodies (`gp::minimize_nesterov`, `gp::minimize_cg`) as \
-                 solver-inner. A heap allocation there — `Vec::new`, \
+                "The call graph marks functions invoked from the Nesterov solver's \
+                 iteration body (`gp::minimize_nesterov`) as solver-inner. A heap allocation there — `Vec::new`, \
                  `with_capacity`, `collect`, zero-arg `clone`, `format!`, \
                  `to_vec`/`to_string`/`to_owned`, `Box::new` — runs per evaluation × \
                  per net/cell, exactly the allocation class PR 6 hand-hoisted out of \

@@ -40,7 +40,6 @@ pub const SINK_ROOTS: &[&str] = &[
     "place_with",
     "place_inflated",
     "solve",
-    "minimize_cg",
     "minimize_nesterov",
     "result_body",
     "generate",

@@ -255,7 +255,7 @@ fn for_header_clone_is_pinned_clean() {
     let s = src_file(
         "gp",
         "crates/gp/src/nesterov.rs",
-        "pub fn minimize_cg(n: usize) -> usize {\n\
+        "pub fn minimize_nesterov(n: usize) -> usize {\n\
              let r = 0..n;\n\
              let mut acc = 0;\n\
              for i in r.clone() {\n\

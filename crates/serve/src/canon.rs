@@ -26,9 +26,7 @@
 //! whether the field is result-affecting.
 
 use crate::spec::{CaseSource, JobSpec};
-use sdp_core::{
-    AlignConfig, ExtractConfig, FlowConfig, GpConfig, GpSolver, LegalizerKind, WirelengthModel,
-};
+use sdp_core::{AlignConfig, ExtractConfig, FlowConfig, GpConfig, LegalizerKind, WirelengthModel};
 use sdp_dpgen::GenConfig;
 use sdp_json::Json;
 
@@ -98,7 +96,6 @@ fn canonical_flow(flow: &FlowConfig) -> Json {
         dp_net_weight,
         refine_outers,
         detailed_passes,
-        routability_rounds,
         legalizer,
         mode,
     } = flow;
@@ -122,7 +119,6 @@ fn canonical_flow(flow: &FlowConfig) -> Json {
         ),
         ("refine_outers", Json::num(*refine_outers as f64)),
         ("rigid_groups", Json::Bool(*rigid_groups)),
-        ("routability_rounds", Json::num(*routability_rounds as f64)),
         ("structure_aware", Json::Bool(*structure_aware)),
     ])
 }
@@ -141,7 +137,6 @@ fn canonical_gp(gp: &GpConfig) -> Json {
         // Excluded on purpose: kernel reductions are fixed-chunk folded,
         // so result bytes are identical at every thread count.
         threads: _,
-        solver,
     } = gp;
     Json::obj([
         (
@@ -167,13 +162,6 @@ fn canonical_gp(gp: &GpConfig) -> Json {
             // Seeds are u64; above 2^53 the f64-backed number would
             // round. The decimal string keeps every bit.
             Json::str(seed.to_string()),
-        ),
-        (
-            "solver",
-            Json::str(match solver {
-                GpSolver::Cg => "cg",
-                GpSolver::Nesterov => "nesterov",
-            }),
         ),
         ("target_density", Json::num(*target_density)),
         ("target_overflow", Json::num(*target_overflow)),
@@ -258,9 +246,7 @@ mod tests {
             r#"{"design": {"preset": "dp_tiny", "seed": 11}, "flow": {"seed": 12}}"#,
             r#"{"design": {"preset": "dp_tiny", "seed": 11}, "flow": {"detailed_passes": 0}}"#,
             r#"{"design": {"preset": "dp_tiny", "seed": 11}, "flow": {"refine_outers": 9}}"#,
-            r#"{"design": {"preset": "dp_tiny", "seed": 11}, "flow": {"routability_rounds": 2}}"#,
             r#"{"design": {"preset": "dp_tiny", "seed": 11}, "flow": {"dp_net_weight": 3.5}}"#,
-            r#"{"design": {"preset": "dp_tiny", "seed": 11}, "flow": {"solver": "cg"}}"#,
             r#"{"design": {"preset": "dp_tiny", "seed": 11}, "flow": {"mode": "route"}}"#,
             r#"{"design": {"preset": "dp_tiny", "seed": 11}, "chaos": "panic"}"#,
         ] {

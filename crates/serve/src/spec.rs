@@ -244,9 +244,7 @@ fn parse_flow(flow: Option<&Json>) -> Result<FlowConfig, SpecError> {
             "threads",
             "detailed_passes",
             "refine_outers",
-            "routability_rounds",
             "dp_net_weight",
-            "solver",
             "mode",
         ],
         "flow",
@@ -297,16 +295,6 @@ fn parse_flow(flow: Option<&Json>) -> Result<FlowConfig, SpecError> {
     if let Some(outers) = get_u64("refine_outers")? {
         cfg.refine_outers = outers as usize;
     }
-    if let Some(rounds) = get_u64("routability_rounds")? {
-        cfg.routability_rounds = rounds as usize;
-    }
-    if let Some(s) = flow.get("solver") {
-        let name = s
-            .as_str()
-            .ok_or_else(|| SpecError("`solver` must be a string".into()))?;
-        cfg.gp.solver = sdp_core::GpSolver::parse(name)
-            .ok_or_else(|| SpecError(format!("unknown `solver` `{name}` (cg | nesterov)")))?;
-    }
     if let Some(m) = flow.get("mode") {
         let name = m
             .as_str()
@@ -347,8 +335,7 @@ mod tests {
     fn flow_overrides_apply() {
         let s = parse_spec(
             r#"{"design": {"preset": "dp_tiny"},
-                "flow": {"baseline": true, "seed": 9, "threads": 2, "detailed_passes": 0,
-                         "solver": "cg"},
+                "flow": {"baseline": true, "seed": 9, "threads": 2, "detailed_passes": 0},
                 "deadline_ms": 5000}"#,
         )
         .unwrap();
@@ -356,7 +343,6 @@ mod tests {
         assert_eq!(s.flow.gp.seed, 9);
         assert_eq!(s.flow.gp.threads, 2);
         assert_eq!(s.flow.detailed_passes, 0);
-        assert_eq!(s.flow.gp.solver, sdp_core::GpSolver::Cg);
         assert_eq!(s.deadline_ms, Some(5000));
     }
 
@@ -379,18 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_override_defaults_to_nesterov_and_rejects_unknown() {
-        let s = parse_spec(r#"{"design": {"preset": "dp_tiny"}}"#).unwrap();
-        assert_eq!(s.flow.gp.solver, sdp_core::GpSolver::Nesterov);
-        for bad in [
-            r#"{"design": {"preset": "dp_tiny"}, "flow": {"solver": "adam"}}"#,
-            r#"{"design": {"preset": "dp_tiny"}, "flow": {"solver": 3}}"#,
-        ] {
-            assert!(parse_spec(bad).is_err(), "must reject {bad}");
-        }
-    }
-
-    #[test]
     fn strictness_rejects_bad_specs() {
         for bad in [
             "not json",
@@ -401,6 +375,8 @@ mod tests {
             r#"{"design": {"preset": "dp_tiny"}, "unknown": 1}"#,
             r#"{"design": {"preset": "dp_tiny", "seed": -1}}"#,
             r#"{"design": {"preset": "dp_tiny"}, "flow": {"warp": true}}"#,
+            r#"{"design": {"preset": "dp_tiny"}, "flow": {"solver": "nesterov"}}"#,
+            r#"{"design": {"preset": "dp_tiny"}, "flow": {"routability_rounds": 2}}"#,
             r#"{"design": {"preset": "dp_tiny"}, "deadline_ms": 0}"#,
             r#"{"design": {"preset": "dp_tiny"}, "deadline_ms": 31622400001}"#,
             r#"{"design": {"preset": "dp_tiny"}, "deadline_ms": 18446744073709551615}"#,

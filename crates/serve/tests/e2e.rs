@@ -590,6 +590,17 @@ fn route_mode_cancellation_lands_mid_route() {
 }
 
 #[test]
+fn deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    let server = start(0, 2);
+    let port = server.port();
+    let (status, body) = request(port, "POST", "/jobs", &"[".repeat(200_000)).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting"), "{body}");
+    let (status, body) = request(port, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, r#"{"status":"ok"}"#));
+}
+
+#[test]
 fn malformed_route_mode_is_a_structured_400() {
     let server = start(0, 2);
     let port = server.port();

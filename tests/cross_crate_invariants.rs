@@ -2,7 +2,7 @@
 //! computed by two different layers must agree.
 
 use sdp_dpgen::{generate, GenConfig};
-use sdp_gp::{cluster::cluster_netlist, hpwl, GlobalPlacer, GpConfig, GpSolver, WirelengthModel};
+use sdp_gp::{cluster::cluster_netlist, hpwl, GlobalPlacer, GpConfig, WirelengthModel};
 use sdp_legal::{legalize, LegalizeOptions};
 use sdp_netlist::Placement;
 use sdp_route::router::grid_hpwl_lower_bound;
@@ -143,8 +143,8 @@ fn legalization_never_increases_violations() {
 
 #[test]
 fn nesterov_place_inflated_is_bitwise_identical_across_thread_counts() {
-    // A full `place_inflated` run — inflation factors engaged, the
-    // Nesterov solver explicitly selected — must produce byte-identical
+    // A full `place_inflated` run — inflation factors engaged — through
+    // the preconditioned Nesterov solver must produce byte-identical
     // placements at 1 and 4 threads: every float reduction in the solver
     // and the kernels is chunk-folded in an order independent of the
     // thread count.
@@ -152,7 +152,6 @@ fn nesterov_place_inflated_is_bitwise_identical_across_thread_counts() {
         let mut d = generate(&GenConfig::named("dp_tiny", 11).expect("known preset"));
         let inflation = vec![1.25; d.netlist.num_cells()];
         let placer = GlobalPlacer::new(GpConfig {
-            solver: GpSolver::Nesterov,
             threads,
             ..GpConfig::fast()
         });
