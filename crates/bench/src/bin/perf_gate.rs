@@ -11,12 +11,11 @@
 //!
 //! Gated metrics: `gp.evals_per_sec`, `extract.cells_per_sec`,
 //! `serve.jobs_per_sec`, `serve_soak.jobs_per_sec`,
-//! `serve_soak.hit_ratio`, `lint.files_per_sec`,
-//! `route_loop.overflow_reduction`, and `route_loop.gcells_per_sec`
-//! (higher is better) and `peak_rss_bytes` (lower is better). A metric that is
-//! zero or missing on either side is reported and skipped — peak RSS is
-//! unavailable off Linux, and a hand-edited baseline may predate a
-//! metric. The baseline is refreshed deliberately, never by CI: rerun
+//! `serve_soak.hit_ratio`, `route_loop.overflow_reduction`, and
+//! `route_loop.gcells_per_sec` (higher is better) and `peak_rss_bytes`
+//! (lower is better). A metric that is zero or missing on either side is
+//! reported and skipped — peak RSS is unavailable off Linux, and a
+//! hand-edited baseline may predate a metric. The baseline is refreshed deliberately, never by CI: rerun
 //! the trajectory experiment on the reference machine class and copy
 //! the snapshot over the baseline when a change is *supposed* to move
 //! these numbers.
@@ -50,10 +49,6 @@ const METRICS: &[Metric] = &[
     },
     Metric {
         path: &["serve_soak", "hit_ratio"],
-        higher_is_better: true,
-    },
-    Metric {
-        path: &["lint", "files_per_sec"],
         higher_is_better: true,
     },
     Metric {

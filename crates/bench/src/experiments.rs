@@ -1268,10 +1268,8 @@ fn peak_rss_bytes() -> f64 {
 /// trajectory — the performance-trajectory snapshot CI gates on: GP
 /// objective evaluations per second (preconditioned Nesterov),
 /// extraction cells per second, serve jobs per second through a real
-/// loopback server, lint files per second (the 12-rule workspace
-/// pass), and the process's peak RSS. Writes
-/// `BENCH_trajectory.json` at the repo root in full
-/// mode; the `perf_gate` binary compares it against the committed
+/// loopback server, and the process's peak RSS. Writes
+/// `BENCH_trajectory.json` at the repo root in full mode; the `perf_gate` binary compares it against the committed
 /// `BENCH_trajectory_baseline.json` and fails on a >10% regression on
 /// any throughput metric (or >10% peak-RSS growth).
 fn trajectory(mode: Mode) -> Exp {
@@ -1362,16 +1360,6 @@ fn trajectory(mode: Mode) -> Exp {
         r#"{"fast": true}"#,
     );
 
-    // Lint self-performance: one full 12-rule workspace pass, call-graph
-    // build included. Gating files/sec keeps the linter's own analyses
-    // honest — an accidentally quadratic rule would slow every CI push.
-    let lint_root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let t0 = Instant::now();
-    let (_lint_diags, lint_files) =
-        sdp_lint::lint_workspace(&lint_root).expect("lint the workspace");
-    let lint_wall = t0.elapsed().as_secs_f64();
-    let lint_files_per_sec = lint_files as f64 / lint_wall.max(1e-9);
-
     // Measured last so it covers all workloads above.
     let rss = peak_rss_bytes();
 
@@ -1414,14 +1402,6 @@ fn trajectory(mode: Mode) -> Exp {
                 ("wall_s", Json::num(soak.wall)),
                 ("jobs_per_sec", Json::num(soak.jobs_per_sec)),
                 ("hit_ratio", Json::num(soak.hit_ratio)),
-            ]),
-        ),
-        (
-            "lint",
-            Json::obj([
-                ("files", Json::num(lint_files as f64)),
-                ("wall_s", Json::num(lint_wall)),
-                ("files_per_sec", Json::num(lint_files_per_sec)),
             ]),
         ),
         ("peak_rss_bytes", Json::num(rss)),

@@ -158,6 +158,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "nx*ny")]
     fn heatmap_rejects_bad_dims() {
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "the call panics before returning, which is what the test checks"
+        )]
         let _ = write_heatmap_svg(
             std::env::temp_dir().join("bad.svg"),
             sdp_geom::Rect::new(0.0, 0.0, 1.0, 1.0),

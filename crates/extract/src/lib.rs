@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::float_cmp,
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss
+    )
+)]
 
 //! Automatic datapath extraction from flat gate-level netlists.
 //!

@@ -25,6 +25,10 @@ pub struct Clustering {
 /// # Panics
 ///
 /// Panics unless `0 < ratio <= 1`.
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "union-find slots are cell indices, and `CellId` is u32-backed"
+)]
 pub fn cluster_netlist(netlist: &Netlist, ratio: f64) -> Clustering {
     assert!(ratio > 0.0 && ratio <= 1.0, "ratio must be in (0, 1]");
     let n = netlist.num_cells();

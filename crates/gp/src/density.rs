@@ -249,8 +249,8 @@ impl DensityModel {
                         0.0
                     };
                     part.norms.push((c.ix(), ci_norm));
-                    // sdp-lint: allow(float-soundness) -- exact sentinel: the
-                    // branch above assigns literal 0.0, never a computed value.
+                    // Exact sentinel: the branch above assigns literal 0.0,
+                    // never a computed value.
                     if ci_norm == 0.0 {
                         continue;
                     }
@@ -322,8 +322,8 @@ impl DensityModel {
         let bx = Bell::new(m.width * infl, self.grid.bin_w());
         let by = Bell::new(m.height, self.grid.bin_h());
         let ci = self.norm[c.ix()];
-        // sdp-lint: allow(float-soundness) -- exact sentinel: `norm` entries
-        // are either a guarded quotient or literal 0.0 (see update_norms).
+        // Exact sentinel: `norm` entries are either a guarded quotient or
+        // literal 0.0 (see update_norms).
         if ci == 0.0 {
             return Point::ORIGIN;
         }
@@ -385,8 +385,8 @@ impl DensityModel {
                 0.0
             };
             self.norm[c.ix()] = ci;
-            // sdp-lint: allow(float-soundness) -- exact sentinel: the branch
-            // above assigns literal 0.0, never a computed value.
+            // Exact sentinel: the branch above assigns literal 0.0, never a
+            // computed value.
             if ci == 0.0 {
                 continue;
             }

@@ -128,9 +128,12 @@ impl Drop for ThreadPool {
     fn drop(&mut self) {
         self.sender.take(); // close the channel so workers exit
         for w in self.workers.drain(..) {
-            // sdp-lint: allow(swallowed-error) -- Drop must not panic; a
-            // join error only means a worker panicked, and job panics are
-            // already caught and rethrown on the submitting thread.
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "Drop must not panic; a join error only means a worker \
+                          panicked, and job panics are already caught and rethrown \
+                          on the submitting thread"
+            )]
             let _ = w.join();
         }
     }
@@ -277,6 +280,8 @@ struct SlotsPtr<T>(*mut Option<T>);
 // SAFETY: `SlotsPtr` is only used to write disjoint indices from multiple
 // threads; `T: Send` is required at the `map` boundary.
 unsafe impl<T: Send> Send for SlotsPtr<T> {}
+// SAFETY: shared references never read through the pointer; every thread
+// writes only the disjoint slot it claimed, as for `Send` above.
 unsafe impl<T: Send> Sync for SlotsPtr<T> {}
 
 struct Shared<'a, T, F> {
@@ -476,6 +481,7 @@ mod loom_check {
     // SAFETY: as in production, every index is written by exactly one
     // thread — claims are unique `fetch_add` tickets (asserted below).
     unsafe impl Send for SlotsPtr {}
+    // SAFETY: as for `Send`: shared references only hand out the pointer.
     unsafe impl Sync for SlotsPtr {}
 
     /// The shared state of one `map` call: slots, the claim counter, and

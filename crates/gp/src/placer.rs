@@ -263,7 +263,10 @@ impl GlobalPlacer {
     /// `seconds` field. Progress is reported against `max_outer`; runs
     /// that converge early jump to completion. On `Err(Cancelled)` the
     /// placement holds the last completed outer iteration's positions.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "the observed form of `place_inflated`: its arguments plus the observer"
+    )]
     pub fn place_inflated_observed(
         &self,
         netlist: &Netlist,

@@ -126,6 +126,10 @@ pub fn eval_wirelength_with(
             deposits: Vec::new(),
         };
         for i in nets {
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "`cell` is a `CellId` index, which is u32-backed"
+            )]
             let v = eval_net(
                 model,
                 netlist,

@@ -583,6 +583,10 @@ mod tests {
     }
 
     #[test]
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "a test timer; the bound is seconds, not bits"
+    )]
     fn long_strings_parse_in_linear_time() {
         // Regression guard for the O(n²) per-character re-validation:
         // a multi-megabyte string (mixed ASCII and multi-byte scalars)

@@ -68,7 +68,10 @@ impl Segment {
     /// Displacement cost of hypothetically inserting `(tx, w)` — runs the
     /// insertion on a scratch copy and sums the squared-displacement
     /// change. Abacus' trial step.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "a trial insertion needs the full Abacus row state"
+    )]
     fn trial_cost(
         &self,
         netlist: &Netlist,

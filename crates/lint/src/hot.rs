@@ -1,9 +1,9 @@
 //! `hot-loop-alloc`: heap allocation in solver inner loops.
 //!
-//! The Nesterov and CG minimizers call the objective hundreds of times
-//! per placement; an allocation inside their iteration loops — or
-//! anywhere in a function those loops call — runs per gradient
-//! evaluation and shows up directly in GP evals/sec. The sanctioned
+//! The Nesterov minimizer calls the objective hundreds of times per
+//! placement; an allocation inside its iteration loops — or anywhere in
+//! a function those loops call — runs per gradient evaluation and shows
+//! up directly in GP evals/sec. The sanctioned
 //! idiom is hoisted scratch: allocate once at the top of the minimizer
 //! (or in the objective struct) and reuse via `clear()`/`fill()`.
 //!

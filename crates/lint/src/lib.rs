@@ -7,36 +7,30 @@
 //! properties *build-time guarantees* instead of conventions: it scans
 //! every workspace source file at the token level (the workspace is
 //! offline, so `syn` is unavailable; a small lexer strips comments and
-//! literals first) and enforces twelve named, allowlistable rules:
+//! literals first) and enforces seven named, allowlistable rules:
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
 //! | `nondeterministic-iter` | kernel crates | no iteration over `HashMap`/`HashSet` unless sorted or re-collected into a `BTree*` in the same statement |
-//! | `wall-clock-in-library` | library crates | no `Instant::now` / `SystemTime::now` / entropy-seeded RNG — `sdp-progress` ([`CLOCK_CRATE`]) is the one sanctioned wrapper |
-//! | `unchunked-float-reduction` | kernel crates | no `sum`/`fold`/`reduce` chained onto `Executor::map` output |
-//! | `undocumented-unsafe` | everywhere | every `unsafe` is preceded by a `SAFETY:` comment |
-//! | `panic-reachability` | call graph | no panic site reachable from a flow entry point without a `PANIC-OK:` comment |
-//! | `float-soundness` | kernel crates | no raw float comparisons / NaN-propagating idioms in kernel numerics |
+//! | `panic-reachability` | call graph | no panic site reachable from a flow entry point without a reasoned allow-marker |
 //! | `lock-discipline` | call graph | consistent lock-acquisition order; no guard held across `Condvar::wait` on another mutex, `join`, or blocking channel ops |
 //! | `determinism-taint` | call graph | no nondeterminism source (hash iteration, clock, entropy, thread identity) reachable from a result-affecting entry point |
 //! | `hot-loop-alloc` | call graph | no heap allocation inside solver inner loops or the functions they call |
 //! | `quadratic-scan` | call graph | no linear-time collection work inside collection-sized loops on flow-reachable paths |
 //! | `unbounded-growth` | call graph | long-lived collections with reachable inserts need a reachable eviction/cap path |
-//! | `swallowed-error` | flow crates | no `let _ = <call>;` / statement-form `.ok();` discarding a fallible result |
 //!
 //! A site is suppressed by `// sdp-lint: allow(<rule>) -- <reason>` on
 //! the same line or up to five lines above; the reason is mandatory.
-//! Test code (`#[cfg(test)]` modules, `tests/` directories) is exempt
-//! from the determinism rules but not from `undocumented-unsafe`.
+//! Test code (`#[cfg(test)]` modules, `tests/` directories) is exempt.
 //!
-//! Diagnostics in the mechanically fixable subset carry span-based
-//! edits; `sdp-lint --fix` applies them (idempotently — see
-//! [`fix`]), `--fix --dry-run` prints them as diffs and fails CI on any
-//! pending edit, and the SARIF writer embeds them as `fixes`.
+//! Checks that need only one file and resolved types are clippy's, set in
+//! the workspace `clippy.toml` and `[workspace.lints]`: clock reads
+//! outside `sdp-progress` ([`CLOCK_CRATE`]), undocumented `unsafe`,
+//! discarded `#[must_use]` results, and float comparisons and lossy casts
+//! in the [`KERNEL_CRATES`].
 
 pub mod callgraph;
 pub mod complexity;
-pub mod fix;
 pub mod growth;
 pub mod hot;
 pub mod items;
@@ -51,8 +45,9 @@ pub use rules::{lint_source, Diagnostic, FileCtx, Rule};
 
 use std::path::{Path, PathBuf};
 
-/// Kernel crates: hash-iteration order and float-reduction order feed
-/// directly into placement results here.
+/// Kernel crates: hash-iteration order feeds directly into placement
+/// results here, and each crate root enables clippy's float-comparison
+/// and lossy-cast lints.
 pub const KERNEL_CRATES: &[&str] = &["gp", "extract", "legal", "eval", "netlist"];
 
 /// Non-library crates: binaries/harnesses that may legitimately time and
@@ -63,7 +58,7 @@ pub const TOOL_CRATES: &[&str] = &["bench", "cli", "lint", "serve"];
 /// The one sanctioned time source: `sdp-progress` wraps the workspace's
 /// only library-crate `Instant::now` behind the injectable `Clock`
 /// trait, so every other library crate times phases through an
-/// `Observer` and the wall-clock rule needs no allow markers at all.
+/// `Observer`.
 pub const CLOCK_CRATE: &str = "progress";
 
 /// A source file scheduled for linting.

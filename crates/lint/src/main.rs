@@ -4,10 +4,9 @@
 //! ```text
 //! USAGE: sdp-lint [--root <dir>] [--rule <name>]... [--format rustc|sarif]
 //!                 [--output <file>] [--stats] [--list-rules] [--explain <rule>]
-//!                 [--fix [--dry-run]]
 //! ```
 
-use sdp_lint::{find_root, fix, lint_workspace_graph, sarif, Rule};
+use sdp_lint::{find_root, lint_workspace_graph, sarif, Rule};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -23,8 +22,6 @@ fn main() -> ExitCode {
     let mut format = Format::Rustc;
     let mut output: Option<PathBuf> = None;
     let mut stats = false;
-    let mut fix_mode = false;
-    let mut dry_run = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
@@ -62,8 +59,6 @@ fn main() -> ExitCode {
                 }
             },
             "--stats" => stats = true,
-            "--fix" => fix_mode = true,
-            "--dry-run" => dry_run = true,
             "--explain" => {
                 let Some(name) = args.next() else {
                     eprintln!("error: --explain needs a rule name (see --list-rules)");
@@ -92,20 +87,17 @@ fn main() -> ExitCode {
                 println!(
                     "USAGE: sdp-lint [--root <dir>] [--rule <name>]... \
                      [--format rustc|sarif] [--output <file>] [--stats] [--list-rules] \
-                     [--explain <rule>] [--fix [--dry-run]]\n\n\
+                     [--explain <rule>]\n\n\
                      Lints the sdplace workspace for determinism, soundness,\n\
-                     scalability, and concurrency invariants (call-graph\n\
-                     panic-reachability, lock-discipline, determinism-taint,\n\
-                     hot-loop-alloc, quadratic-scan, unbounded-growth,\n\
-                     swallowed-error, …). Exits 1 when violations are found.\n\n\
-                     --format sarif emits a SARIF 2.1.0 document for CI code\n\
-                     scanning (machine-applicable edits appear as `fixes`);\n\
+                     scalability, and concurrency invariants (hash iteration in\n\
+                     kernels, plus call-graph panic-reachability,\n\
+                     lock-discipline, determinism-taint, hot-loop-alloc,\n\
+                     quadratic-scan, unbounded-growth). Exits 1 when\n\
+                     violations are found.\n\n\
+                     --format sarif emits a SARIF 2.1.0 document for CI code scanning;\n\
                      --output writes the report to a file instead of stdout;\n\
                      --stats prints per-crate call-graph reachability;\n\
-                     --explain prints a rule's full rationale and marker syntax;\n\
-                     --fix applies the machine-applicable edits and re-lints\n\
-                     (idempotent); --fix --dry-run prints them as diffs and\n\
-                     exits 1 if any edit is pending (the CI gate)."
+                     --explain prints a rule's full rationale and marker syntax."
                 );
                 return ExitCode::SUCCESS;
             }
@@ -123,17 +115,12 @@ fn main() -> ExitCode {
         }
     }
 
-    if dry_run && !fix_mode {
-        eprintln!("error: --dry-run only makes sense with --fix");
-        return ExitCode::from(2);
-    }
-
     let Some(root) = find_root(root.as_deref()) else {
         eprintln!("error: could not locate the workspace root (pass --root)");
         return ExitCode::from(2);
     };
 
-    let (mut diags, mut scanned, reach) = match lint_workspace_graph(&root) {
+    let (mut diags, scanned, reach) = match lint_workspace_graph(&root) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("error: failed to scan {}: {e}", root.display());
@@ -142,63 +129,6 @@ fn main() -> ExitCode {
     };
     if !only.is_empty() {
         diags.retain(|d| only.iter().any(|r| r == d.rule.name()));
-    }
-
-    if fix_mode {
-        let file_edits = fix::collect(&diags);
-        let edit_count: usize = file_edits.iter().map(|fe| fe.edits.len()).sum();
-        if dry_run {
-            for fe in &file_edits {
-                let path = root.join(&fe.rel_path);
-                let before = match std::fs::read_to_string(&path) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("error: reading {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                };
-                let after = fix::apply(&before, &fe.edits);
-                print!("{}", fix::diff(&fe.rel_path, &before, &after));
-            }
-            return if file_edits.is_empty() {
-                eprintln!("sdp-lint --fix --dry-run: no machine-applicable edits pending");
-                ExitCode::SUCCESS
-            } else {
-                eprintln!(
-                    "sdp-lint --fix --dry-run: {edit_count} pending edit(s) in {} file(s)",
-                    file_edits.len()
-                );
-                ExitCode::FAILURE
-            };
-        }
-        for fe in &file_edits {
-            let path = root.join(&fe.rel_path);
-            let applied = std::fs::read_to_string(&path)
-                .map(|before| fix::apply(&before, &fe.edits))
-                .and_then(|after| std::fs::write(&path, after));
-            if let Err(e) = applied {
-                eprintln!("error: fixing {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-        if edit_count > 0 {
-            eprintln!(
-                "sdp-lint --fix: applied {edit_count} edit(s) in {} file(s)",
-                file_edits.len()
-            );
-        }
-        // Re-lint the fixed tree: remaining diagnostics (and exit code)
-        // reflect what `--fix` could not resolve mechanically.
-        (diags, scanned, _) = match lint_workspace_graph(&root) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: failed to re-scan {}: {e}", root.display());
-                return ExitCode::from(2);
-            }
-        };
-        if !only.is_empty() {
-            diags.retain(|d| only.iter().any(|r| r == d.rule.name()));
-        }
     }
 
     let report = match format {

@@ -6,11 +6,11 @@
 //! schema's minimum for a static-analysis run: one `run` with the tool's
 //! rule metadata and one `result` per diagnostic, each carrying a
 //! `physicalLocation` with `startLine`/`startColumn` and the full
-//! message (reachability chain notes included) as text. Diagnostics
-//! with machine-applicable rewrites also carry the SARIF `fixes`
-//! property — the same `(line, col_start, col_end, replacement)` spans
-//! the `--fix` engine applies, as `deletedRegion`/`insertedContent`
-//! replacements.
+//! message (reachability chain notes included) as text.
+#![allow(
+    clippy::let_underscore_must_use,
+    reason = "every `write!` here targets a `String`, which never fails"
+)]
 
 use crate::rules::{Diagnostic, Rule};
 use std::fmt::Write as _;
@@ -88,30 +88,6 @@ pub fn to_sarif(diags: &[Diagnostic]) -> String {
             d.line.max(1),
             d.col.max(1),
         );
-        if let Some(fix) = &d.fix {
-            let _ = write!(
-                s,
-                ", \"fixes\": [{{\"description\": {{\"text\": \"{}\"}}, \
-                 \"artifactChanges\": [{{\"artifactLocation\": {{\"uri\": \"{uri}\", \
-                 \"uriBaseId\": \"SRCROOT\"}}, \"replacements\": [",
-                esc(&fix.description),
-            );
-            for (j, e) in fix.edits.iter().enumerate() {
-                let _ = write!(
-                    s,
-                    "{{\"deletedRegion\": {{\"startLine\": {}, \"startColumn\": {}, \
-                     \"endLine\": {}, \"endColumn\": {}}}, \
-                     \"insertedContent\": {{\"text\": \"{}\"}}}}{}",
-                    e.line,
-                    e.col_start,
-                    e.line,
-                    e.col_end,
-                    esc(&e.replacement),
-                    if j + 1 < fix.edits.len() { ", " } else { "" }
-                );
-            }
-            s.push_str("]}]}]");
-        }
         let _ = writeln!(s, "}}{}", if i + 1 < diags.len() { "," } else { "" });
     }
     s.push_str("      ],\n");

@@ -2,28 +2,33 @@
 //!
 //! The placer's contract is bitwise reproducibility: the same netlist
 //! and config must produce the same placement, byte for byte, on every
-//! run. The per-file rules (`nondeterministic-iter`,
-//! `wall-clock-in-library`) police the kernel and library crates
-//! lexically; this rule closes the interprocedural gap. It computes the
-//! *result cone* — every function reachable from a result-affecting
-//! entry point (`place`, `solve`, the CG/Nesterov minimizers, the serve
-//! result serializer) — and flags any nondeterminism source inside it,
-//! printing the full entry-point→source call chain so the reader can see
-//! exactly how the tainted value reaches a result.
+//! run. The per-file `nondeterministic-iter` rule polices the kernel
+//! crates lexically, and clippy's `disallowed-methods` policy keeps clock
+//! reads out of the library crates; this rule closes the interprocedural
+//! gap. It computes the *result cone* — every function reachable from a
+//! result-affecting entry point (`place`, `solve`, the Nesterov
+//! minimizer, the serve result serializer) — and flags any
+//! nondeterminism source inside it, printing the full entry-point→source
+//! call chain so the reader can see exactly how the tainted value reaches
+//! a result.
 //!
 //! Sources:
 //! - iteration over hash-ordered containers (shared detector with the
 //!   local rule; skipped in kernel crates where the local rule owns it);
-//! - wall-clock / entropy reads (`Instant::now`, `SystemTime::now`,
-//!   `rand::random`, entropy-seeded RNG constructors; skipped in library
-//!   crates where the local rule owns it, and in `sdp-progress`, the
+//! - wall-clock reads (`Instant::now`, `SystemTime::now`; skipped in
+//!   library crates, where clippy owns them, and in `sdp-progress`, the
 //!   sanctioned clock wrapper);
+//! - entropy reads (`rand::random`, entropy-seeded RNG constructors),
+//!   which clippy does not police, so they count in every crate;
 //! - thread-identity reads (`thread::current`), never sanctioned inside
 //!   the cone.
 //!
 //! `std::thread::available_parallelism` is deliberately *not* a source:
-//! the executor's chunked reductions are bitwise identical at any worker
-//! count, and the lint suite pins that with its own test.
+//! `Executor::map` returns results in index order and job counts depend
+//! only on input length, so results are bitwise identical at any worker
+//! count — `thread_count_is_transparent_to_the_flow` and
+//! `nesterov_place_inflated_is_bitwise_identical_across_thread_counts`
+//! pin that end to end.
 
 use crate::callgraph::{Graph, NodeId};
 use crate::lexer::Tok;
@@ -80,21 +85,14 @@ pub fn check_determinism_taint(graph: &Graph<'_>, out: &mut Vec<Diagnostic>) {
             format!("result-affecting call chain: {}", chain.join(" → "))
         };
         for (tok_ix, what) in sources {
-            if let Some(mut d) = diag_if_unsuppressed(
+            out.extend(diag_if_unsuppressed(
                 &f.file,
                 &f.ctx,
                 Rule::DeterminismTaint,
                 &f.toks[tok_ix],
                 format!("{what} inside the result cone (in `{}`)", item.qual),
                 vec![note.clone()],
-            ) {
-                // A hash-iteration source is mechanically fixable the
-                // same way the local rule is: re-declare as BTree.
-                if what.starts_with("iteration over hash-ordered") {
-                    d.fix = crate::rules::btree_fix(&f.toks, &f.toks[tok_ix].text);
-                }
-                out.push(d);
-            }
+            ));
         }
     }
 }
@@ -120,15 +118,15 @@ fn source_sites(toks: &[Tok], open: usize, close: usize, ctx: &FileCtx) -> Vec<(
     let clock_owned = ctx.library || ctx.crate_name == CLOCK_CRATE;
     for k in open + 1..close {
         let t = toks[k].text.as_str();
-        if !clock_owned {
-            let flagged = match t {
-                "Instant" | "SystemTime" => matches_seq(toks, k + 1, &[":", ":", "now"]),
-                "rand" => matches_seq(toks, k + 1, &[":", ":", "random"]),
-                s => ENTROPY_IDENTS.contains(&s),
-            };
-            if flagged {
-                out.push((k, format!("wall-clock/entropy source `{t}`")));
+        let flagged = match t {
+            "Instant" | "SystemTime" => {
+                !clock_owned && matches_seq(toks, k + 1, &[":", ":", "now"])
             }
+            "rand" => matches_seq(toks, k + 1, &[":", ":", "random"]),
+            s => ENTROPY_IDENTS.contains(&s),
+        };
+        if flagged {
+            out.push((k, format!("wall-clock/entropy source `{t}`")));
         }
         if t == "thread" && matches_seq(toks, k + 1, &[":", ":", "current"]) {
             out.push((k, "thread-identity read `thread::current`".to_string()));

@@ -224,6 +224,29 @@ fn taint_sources_outside_the_cone_stay_silent() {
     assert!(diags.is_empty(), "{diags:#?}");
 }
 
+#[test]
+fn library_clock_reads_are_left_to_clippy_but_entropy_is_not() {
+    // In a library crate clippy's `disallowed-methods` owns the clock
+    // read; clippy bans no entropy source, so the taint pass reports it.
+    let s = sdp_lint::prepare_source(
+        "pub fn generate(n: u64) -> u64 {\n\
+             let t = std::time::Instant::now();\n\
+             let r = rand::thread_rng();\n\
+             n + t.elapsed().as_nanos() as u64 + r.next_u64()\n\
+         }\n",
+        FileCtx {
+            rel_path: "crates/dpgen/src/lib.rs".into(),
+            crate_name: "dpgen".into(),
+            kernel: false,
+            library: true,
+            test_code: false,
+        },
+    );
+    let diags = sdp_lint::lint_sources(&[s]);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!((diags[0].rule, diags[0].line), (Rule::DeterminismTaint, 3));
+}
+
 // ---------------------------------------------------------------------
 // hot-loop-alloc
 
@@ -348,10 +371,9 @@ fn every_rule_has_a_real_explanation() {
             "{rule}: --explain must carry real rationale, got {} bytes",
             text.len()
         );
-        // Every rule's help names a concrete remediation: the allow
-        // marker, or (undocumented-unsafe) the SAFETY comment.
+        // Every rule's help names a concrete remediation: the allow marker.
         assert!(
-            rule.help().contains("sdp-lint: allow") || rule.help().contains("SAFETY"),
+            rule.help().contains("sdp-lint: allow"),
             "{rule}: help must show the remediation syntax"
         );
     }

@@ -2,7 +2,8 @@
 //! (marked `//~ ERROR <rule>` in the fixture) and nowhere else, and every
 //! allow-marker must suppress. Plus a self-test that the workspace the
 //! lint ships in is clean — which makes `cargo test` itself enforce the
-//! determinism invariants.
+//! determinism invariants — and a guard that every crate opts into the
+//! clippy policy that carries the single-file checks.
 
 use sdp_lint::{lint_source, FileCtx, Rule};
 use std::collections::BTreeSet;
@@ -58,31 +59,6 @@ fn nondeterministic_iter_fires_and_suppresses() {
 }
 
 #[test]
-fn wall_clock_fires_and_suppresses() {
-    check("wall_clock.rs");
-}
-
-#[test]
-fn float_reduction_fires_and_suppresses() {
-    check("float_reduction.rs");
-}
-
-#[test]
-fn undocumented_unsafe_fires_and_suppresses() {
-    check("undoc_unsafe.rs");
-}
-
-#[test]
-fn float_soundness_fires_and_suppresses() {
-    check("float_soundness.rs");
-}
-
-#[test]
-fn swallowed_error_fires_and_suppresses() {
-    check("swallowed_error.rs");
-}
-
-#[test]
 fn reasonless_marker_is_called_out() {
     let source = fixture("nondet_iter.rs");
     let ctx = FileCtx {
@@ -102,23 +78,30 @@ fn reasonless_marker_is_called_out() {
 }
 
 #[test]
-fn test_context_skips_determinism_rules_but_not_unsafe() {
+fn test_context_skips_determinism_rules() {
     let source = "fn f(m: std::collections::HashMap<u32, u32>) -> Vec<u32> {\n\
-                  let t0 = Instant::now();\n\
-                  let _ = t0;\n\
-                  unsafe { core::hint::unreachable_unchecked() };\n\
                   m.keys().copied().collect()\n\
                   }\n";
-    let ctx = FileCtx {
+    let kernel = FileCtx {
+        rel_path: "crates/gp/src/whatever.rs".into(),
+        crate_name: "gp".into(),
+        kernel: true,
+        library: true,
+        test_code: false,
+    };
+    let diags = lint_source(source, &kernel);
+    assert_eq!(diags.len(), 1, "{diags:#?}");
+    assert_eq!(diags[0].rule, Rule::NondeterministicIter);
+
+    let test = FileCtx {
         rel_path: "tests/whatever.rs".into(),
         crate_name: String::new(),
         kernel: false,
         library: false,
         test_code: true,
     };
-    let diags = lint_source(source, &ctx);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, Rule::UndocumentedUnsafe);
+    let diags = lint_source(source, &test);
+    assert!(diags.is_empty(), "{diags:#?}");
 }
 
 // ---------------------------------------------------------------------
@@ -281,7 +264,8 @@ fn clock_crate_is_the_sanctioned_time_source() {
         !progress.library && !progress.kernel,
         "sdp-progress may wrap Instant::now: it is the injectable Clock"
     );
-    // The flow crates it serves stay under the wall-clock rule.
+    // The flow crates it serves leave their clock reads to clippy's
+    // `disallowed-methods` policy.
     let flow = ctx_of("crates/core/src/flow.rs");
     assert!(flow.library, "sdp-core must keep timing through the Clock");
     // The job server is a tool (timeouts, metrics) but NOT call-graph
@@ -412,4 +396,43 @@ fn workspace_is_clean() {
             .collect::<Vec<_>>()
             .join("\n\n")
     );
+}
+
+#[test]
+fn every_crate_opts_into_the_clippy_policy() {
+    // The clippy lints that replaced sdp-lint's single-file rules only
+    // reach crates that opt in: a `[lints]` table in each manifest, and
+    // the float/cast lints at each kernel crate root.
+    let root = sdp_lint::find_root(None).expect("workspace root");
+    let read = |p: &Path| {
+        std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read {}: {e}", p.display()))
+    };
+    let mut manifests: Vec<_> = std::fs::read_dir(root.join("crates"))
+        .expect("read crates/")
+        .map(|e| e.expect("crates/ entry").path().join("Cargo.toml"))
+        .filter(|m| m.is_file())
+        .collect();
+    manifests.sort();
+    assert!(manifests.len() > 10, "found only {manifests:?}");
+    for m in &manifests {
+        assert!(
+            read(m)
+                .lines()
+                .any(|l| matches!(l.trim(), "[lints]" | "[lints.clippy]")),
+            "{} declares no [lints] table",
+            m.display()
+        );
+    }
+
+    let attr = "#![cfg_attr(not(test),warn(clippy::float_cmp,\
+                clippy::cast_possible_truncation,clippy::cast_sign_loss))]";
+    for name in sdp_lint::KERNEL_CRATES {
+        let lib = root.join("crates").join(name).join("src/lib.rs");
+        let flat: String = read(&lib).split_whitespace().collect();
+        assert!(
+            flat.contains(attr),
+            "{} lacks the kernel float/cast lint attribute",
+            lib.display()
+        );
+    }
 }

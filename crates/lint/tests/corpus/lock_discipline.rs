@@ -43,7 +43,7 @@ impl State {
         let g = self.m1.lock().unwrap();
         let mut pool = self.workers.lock().unwrap();
         for h in pool.drain(..) {
-            let _ = h.join(); //~ ERROR lock-discipline, swallowed-error
+            let _ = h.join(); //~ ERROR lock-discipline
         }
         drop(pool);
         drop(g);
@@ -69,14 +69,14 @@ impl State {
     // Blocking channel send with a lock held.
     pub fn send_under_lock(&self, tx: &std::sync::mpsc::SyncSender<u32>) {
         let a = self.m1.lock().unwrap();
-        let _ = tx.send(*a); //~ ERROR lock-discipline, swallowed-error
+        let _ = tx.send(*a); //~ ERROR lock-discipline
         drop(a);
     }
 
     // Blocking recv with a lock held.
     pub fn recv_under_lock(&self, rx: &std::sync::mpsc::Receiver<u32>) {
         let a = self.m1.lock().unwrap();
-        let _ = rx.recv(); //~ ERROR lock-discipline, swallowed-error
+        let _ = rx.recv(); //~ ERROR lock-discipline
         drop(a);
     }
 
@@ -84,7 +84,6 @@ impl State {
     pub fn send_sanctioned(&self, tx: &std::sync::mpsc::Sender<u32>) {
         let a = self.m1.lock().unwrap();
         // sdp-lint: allow(lock-discipline) -- the channel is unbounded; send never blocks
-        // sdp-lint: allow(swallowed-error) -- a send error only means the receiver exited first
         let _ = tx.send(*a);
         drop(a);
     }

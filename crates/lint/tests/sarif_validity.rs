@@ -87,25 +87,15 @@ fn diagnostics_round_trip_through_sarif() {
             message: "`unwrap()` in `gp::place`, reachable from a flow entry point".into(),
             notes: vec!["reached via: cli::main \u{2192} gp::place".into()],
             marker_missing_reason: false,
-            fix: None,
         },
         Diagnostic {
-            rule: Rule::FloatSoundness,
+            rule: Rule::NondeterministicIter,
             rel_path: "crates/legal/src/abacus.rs".into(),
             line: 1,
             col: 1,
             message: "tricky \"quoted\" text with \\ backslash,\nnewline and \ttab".into(),
             notes: vec![],
             marker_missing_reason: true,
-            fix: Some(sdp_lint::rules::Fix {
-                description: "use `total_cmp`".into(),
-                edits: vec![sdp_lint::rules::Edit {
-                    line: 1,
-                    col_start: 10,
-                    col_end: 21,
-                    replacement: "total_cmp".into(),
-                }],
-            }),
         },
     ];
     let results = validate(&to_sarif(&diags));
@@ -144,29 +134,6 @@ fn diagnostics_round_trip_through_sarif() {
     assert!(
         msg1.contains("no `-- <reason>`"),
         "reasonless marker is called out: {msg1}"
-    );
-
-    // Machine-applicable edits surface as the SARIF `fixes` property.
-    let fixes = results[1].at("fixes").arr().to_vec();
-    assert_eq!(fixes.len(), 1);
-    assert_eq!(
-        fixes[0].at("description").at("text").str(),
-        "use `total_cmp`"
-    );
-    let change = fixes[0].at("artifactChanges").nth(0);
-    assert_eq!(
-        change.at("artifactLocation").at("uri").str(),
-        "crates/legal/src/abacus.rs"
-    );
-    let rep = change.at("replacements").nth(0);
-    let del = rep.at("deletedRegion");
-    assert_eq!(del.at("startLine").num() as usize, 1);
-    assert_eq!(del.at("startColumn").num() as usize, 10);
-    assert_eq!(del.at("endColumn").num() as usize, 21);
-    assert_eq!(rep.at("insertedContent").at("text").str(), "total_cmp");
-    assert!(
-        Json::get(&results[0], "fixes").is_none(),
-        "fix-less diagnostics carry no `fixes` property"
     );
 }
 

@@ -1,5 +1,5 @@
-//! Regression tests for the scalability & error-discipline families:
-//! `quadratic-scan` and `unbounded-growth`. Each family gets a seeded
+//! Regression tests for the scalability families: `quadratic-scan` and
+//! `unbounded-growth`. Each family gets a seeded
 //! fixture corpus checked exactly against `//~ ERROR` markers —
 //! including the pinned false-positive negatives (a constant-size-array
 //! loop; the bounded-LRU insert path) — plus targeted call-graph tests
@@ -268,39 +268,4 @@ fn unwrapped_short_lived_structs_stay_silent() {
         diags.iter().all(|d| d.rule != Rule::UnboundedGrowth),
         "{diags:#?}"
     );
-}
-
-// ---------------------------------------------------------------------
-// swallowed-error interplay with the graph context
-
-#[test]
-fn swallowed_error_skips_exempt_and_test_code() {
-    // The bench/lint crates are outside the call graph and may discard
-    // freely; so may #[cfg(test)] modules anywhere.
-    let bench = src_file(
-        "bench",
-        "crates/bench/src/lib.rs",
-        "pub fn run(path: &str) {\n\
-             let _ = std::fs::remove_file(path);\n\
-         }\n",
-    );
-    assert!(sdp_lint::lint_sources(&[bench]).is_empty());
-
-    let lib = src_file(
-        "serve",
-        "crates/serve/src/lib.rs",
-        "pub fn touch(path: &str) {\n\
-             std::fs::remove_file(path).ok();\n\
-         }\n\
-         #[cfg(test)]\n\
-         mod tests {\n\
-             fn cleanup(path: &str) {\n\
-                 let _ = std::fs::remove_file(path);\n\
-             }\n\
-         }\n",
-    );
-    let diags = sdp_lint::lint_sources(&[lib]);
-    assert_eq!(diags.len(), 1, "{diags:#?}");
-    assert_eq!(diags[0].rule, Rule::SwallowedError);
-    assert_eq!(diags[0].line, 2, "only the non-test `.ok();` fires");
 }

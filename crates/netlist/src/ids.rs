@@ -19,6 +19,10 @@ macro_rules! id_type {
             ///
             /// Panics if `ix` does not fit in `u32`.
             #[inline]
+            #[allow(
+                clippy::cast_possible_truncation,
+                reason = "asserted to fit in u32 first"
+            )]
             pub fn new(ix: usize) -> Self {
                 assert!(ix <= u32::MAX as usize, "index overflow");
                 $name(ix as u32)

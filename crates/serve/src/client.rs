@@ -11,9 +11,11 @@ use std::time::Duration;
 /// `Connection: close` protocol.
 pub fn request(port: u16, method: &str, path: &str, body: &str) -> std::io::Result<(u16, String)> {
     let mut stream = TcpStream::connect(("127.0.0.1", port))?;
-    // sdp-lint: allow(swallowed-error) -- set_read_timeout only fails on
-    // a zero Duration; the constant above is nonzero, and a missing
-    // timeout degrades to blocking reads, not wrong results.
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "set_read_timeout only fails on a zero Duration; the constant above is nonzero, \
+                  and a missing timeout degrades to blocking reads, not wrong results"
+    )]
     let _ = stream.set_read_timeout(Some(Duration::from_secs(120)));
     let head = format!(
         "{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",

@@ -653,9 +653,12 @@ impl Engine {
         // must never block behind worker drain time.
         let handles: Vec<_> = lock(&self.workers).drain(..).collect();
         for handle in handles {
-            // sdp-lint: allow(swallowed-error) -- a join error only means
-            // the worker panicked, which the per-job catch_unwind already
-            // recorded in jobs_failed; shutdown must drain regardless.
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "a join error only means the worker panicked, which the per-job \
+                          catch_unwind already recorded in jobs_failed; shutdown must drain \
+                          regardless"
+            )]
             let _ = handle.join();
         }
     }
@@ -1083,6 +1086,10 @@ mod tests {
 
     fn tempdir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("sdp-engine-{tag}-{}", std::process::id()));
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "clearing a previous run's leftovers; the dir usually does not exist"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -81,9 +81,12 @@ fn arm_read_timeout(stream: &TcpStream, deadline: Instant) -> Result<(), HttpErr
             "request wall deadline exceeded",
         )));
     }
-    // sdp-lint: allow(swallowed-error) -- set_read_timeout only fails on
-    // a zero Duration, which the is_zero guard above already excluded; a
-    // missing timeout degrades to a blocking read, not a wrong response.
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "set_read_timeout only fails on a zero Duration, which the is_zero guard above \
+                  already excluded; a missing timeout degrades to a blocking read, not a wrong \
+                  response"
+    )]
     let _ = stream.set_read_timeout(Some(remaining.min(READ_TIMEOUT)));
     Ok(())
 }
@@ -303,6 +306,10 @@ mod tests {
         // Each one-byte write lands within the per-read timeout, so only
         // the wall deadline can end this request.
         let trickler = std::thread::spawn(move || {
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "the server may hang up at any byte; the trickle loop below notices"
+            )]
             let _ = client.write_all(b"POST /jobs HTTP/1.1\r\nContent-Length: 100000\r\n\r\n");
             loop {
                 if client.write_all(b"x").is_err() {

@@ -150,13 +150,18 @@ impl ServerHandle {
         }
         // The accept loop blocks in `accept()`; a loopback self-connect
         // wakes it so it can observe the flag and exit.
-        // sdp-lint: allow(swallowed-error) -- a failed self-connect means
-        // the listener is already gone, which is exactly the goal here.
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "a failed self-connect means the listener is already gone, which is exactly \
+                      the goal here"
+        )]
         let _ = TcpStream::connect(("127.0.0.1", self.port));
         if let Some(handle) = self.accept.take() {
-            // sdp-lint: allow(swallowed-error) -- a join error only means
-            // the accept thread panicked on exit; shutdown proceeds either
-            // way and Drop must not panic.
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "a join error only means the accept thread panicked on exit; shutdown \
+                          proceeds either way and Drop must not panic"
+            )]
             let _ = handle.join();
         }
         self.engine.shutdown();
@@ -201,17 +206,21 @@ fn handle_connection(stream: &mut TcpStream, engine: &Engine) {
         Ok(req) => req,
         Err(http::HttpError::TooLarge) => {
             let body = error_body("request too large", "body exceeds the configured maximum");
-            // sdp-lint: allow(swallowed-error) -- best-effort error reply:
-            // the peer may already have hung up, and there is no channel
-            // left to report a failed error report on.
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "best-effort error reply: the peer may already have hung up, and there \
+                          is no channel left to report a failed error report on"
+            )]
             let _ = http::write_response(stream, 413, "application/json", &body);
             return;
         }
         Err(http::HttpError::Malformed(m)) => {
             let body = error_body("malformed request", &m);
-            // sdp-lint: allow(swallowed-error) -- best-effort error reply:
-            // the peer may already have hung up, and there is no channel
-            // left to report a failed error report on.
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "best-effort error reply: the peer may already have hung up, and there \
+                          is no channel left to report a failed error report on"
+            )]
             let _ = http::write_response(stream, 400, "application/json", &body);
             return;
         }
@@ -220,18 +229,22 @@ fn handle_connection(stream: &mut TcpStream, engine: &Engine) {
                 "length required",
                 "body-bearing requests must send Content-Length",
             );
-            // sdp-lint: allow(swallowed-error) -- best-effort error reply:
-            // the peer may already have hung up, and there is no channel
-            // left to report a failed error report on.
+            #[allow(
+                clippy::let_underscore_must_use,
+                reason = "best-effort error reply: the peer may already have hung up, and there \
+                          is no channel left to report a failed error report on"
+            )]
             let _ = http::write_response(stream, 411, "application/json", &body);
             return;
         }
         Err(http::HttpError::Io(_)) => return,
     };
     let (status, content_type, body) = route(engine, &req);
-    // sdp-lint: allow(swallowed-error) -- response-write failure means
-    // the client went away; the job result is already recorded and
-    // retrievable, so there is nothing to propagate to.
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "response-write failure means the client went away; the job result is already \
+                  recorded and retrievable, so there is nothing to propagate to"
+    )]
     let _ = http::write_response(stream, status, content_type, &body);
 }
 

@@ -199,9 +199,11 @@ fn load_bookshelf(bs: &Json) -> Result<BookshelfCase, SpecError> {
     std::fs::create_dir_all(&dir)
         .map_err(|e| SpecError(format!("scratch dir {}: {e}", dir.display())))?;
     let result = write_and_read(&dir, bs);
-    // sdp-lint: allow(swallowed-error) -- best-effort scratch cleanup; a
-    // leaked temp dir must not turn a successfully parsed case into an
-    // error, and the parse result itself is what matters.
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "best-effort scratch cleanup; a leaked temp dir must not turn a successfully \
+                  parsed case into an error, and the parse result itself is what matters"
+    )]
     let _ = std::fs::remove_dir_all(&dir);
     result
 }

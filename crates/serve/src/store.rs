@@ -155,6 +155,10 @@ mod tests {
 
     fn tempdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sdp-store-{tag}-{}", std::process::id()));
+        #[allow(
+            clippy::let_underscore_must_use,
+            reason = "clearing a previous run's leftovers; the dir usually does not exist"
+        )]
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

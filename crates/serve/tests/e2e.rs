@@ -198,6 +198,10 @@ fn malformed_requests_get_structured_400s() {
 fn raw_request(port: u16, chunks: &[&[u8]]) -> Option<u16> {
     use std::io::{Read, Write};
     let mut stream = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "set_read_timeout only fails on a zero Duration, and this one is nonzero"
+    )]
     let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
     for chunk in chunks {
         if stream
@@ -343,6 +347,10 @@ fn repeat_submission_is_served_from_the_cache() {
 #[test]
 fn restart_with_state_dir_serves_prior_results() {
     let dir = std::env::temp_dir().join(format!("sdp-e2e-state-{}", std::process::id()));
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "clearing a previous run's leftovers; the dir usually does not exist"
+    )]
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = || ServerConfig {
         workers: 1,
@@ -383,6 +391,10 @@ fn restart_with_state_dir_serves_prior_results() {
     let (_, rb) = request(port, "GET", &format!("/jobs/{dup}/result"), "").unwrap();
     assert_eq!(rb, body);
     drop(server);
+    #[allow(
+        clippy::let_underscore_must_use,
+        reason = "best-effort cleanup after the assertions have passed"
+    )]
     let _ = std::fs::remove_dir_all(&dir);
 }
 

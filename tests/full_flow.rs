@@ -95,6 +95,10 @@ fn placed_result_round_trips_through_bookshelf() {
     let aux =
         write_bookshelf(&dir, "t", &d.netlist, &d.design, &out.placement).expect("write bookshelf");
     let case = read_bookshelf(&aux).expect("read bookshelf");
+    #[allow(
+        clippy::unused_result_ok,
+        reason = "best-effort cleanup after the round trip succeeded"
+    )]
     std::fs::remove_dir_all(&dir).ok();
     // Same HPWL after the round trip (positions and offsets preserved).
     let before = out.placement.total_hpwl(&d.netlist);
