@@ -1,7 +1,7 @@
 //! `sdplace place` — run the placement flow on a bundle.
 
 use crate::args::Args;
-use crate::commands::{load_case, split_out};
+use crate::commands::{load_case, split_out, threads_flag};
 use sdp_core::{FlowConfig, StructurePlacer};
 use sdp_eval::{write_placement_svg, Table};
 use sdp_netlist::write_bookshelf;
@@ -18,6 +18,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if args.flag("baseline") && args.flag("rigid") {
         return Err("--baseline and --rigid are mutually exclusive".into());
     }
+    let threads = threads_flag(&args)?;
     let case = load_case(path)?;
 
     let mut config = if args.flag("fast") {
@@ -37,7 +38,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     if args.flag("abacus") {
         config.legalizer = sdp_core::LegalizerKind::Abacus;
     }
-    if let Some(threads) = args.number::<usize>("threads")? {
+    if let Some(threads) = threads {
         config = config.with_threads(threads);
     }
     if let Some(name) = args.value("mode") {

@@ -1,6 +1,7 @@
 //! `sdplace serve` — run the placement-as-a-service job server.
 
 use crate::args::Args;
+use crate::commands::threads_flag;
 use sdp_serve::{Server, ServerConfig};
 
 /// Runs the job server until stdin reaches EOF (Ctrl-D, or the parent
@@ -31,7 +32,7 @@ pub fn run(raw: &[String]) -> Result<(), String> {
             .number::<usize>("cache-bytes")?
             .unwrap_or(defaults.cache_bytes),
         state_dir: args.value("state-dir").map(std::path::PathBuf::from),
-        threads: args.number::<usize>("threads")?.unwrap_or(defaults.threads),
+        threads: threads_flag(&args)?.unwrap_or(defaults.threads),
     };
     let workers = cfg.workers;
     let queue_depth = cfg.queue_depth;

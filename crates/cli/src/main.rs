@@ -55,8 +55,9 @@ OPTIONS:
                   RUDY-feedback inflation loop and reports routed metrics
   --route         eval: also globally route the bundle and report routed
                   wirelength, overflow, and utilization
-  --threads T     placement kernel threads; 0 = all cores, 1 = sequential
-                  (results are bitwise identical)        [default: 0]
+  --threads T     placement kernel threads, at most 256; 0 = all cores,
+                  1 = sequential (results are bitwise identical)
+                                                         [default: 0]
   --rounds K      signature refinement depth for extract   [default: 1]
   --gates N       custom design size (with gen)
   --fraction F    custom datapath fraction in [0,1] (with gen)

@@ -142,6 +142,22 @@ fn place_rejects_unknown_flags() {
 }
 
 #[test]
+fn absurd_thread_counts_are_rejected() {
+    // Rejected while parsing, before a bundle is opened or a port bound.
+    for cmd in ["place whatever.aux", "serve"] {
+        let mut argv: Vec<&str> = cmd.split(' ').collect();
+        argv.extend(["--threads", "1000000"]);
+        let out = sdplace(&argv);
+        assert_eq!(out.status.code(), Some(1), "{cmd} must exit 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("--threads: 1000000 is out of range 0..=256"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn gen_custom_fraction_design() {
     let prefix = tmp("custom/sweep");
     let prefix_s = prefix.to_str().expect("utf-8");

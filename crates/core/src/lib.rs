@@ -50,7 +50,7 @@ pub use flow::{
 // resolved config for content-address hashing — without depending on
 // `sdp-gp`/`sdp-extract` directly.
 pub use sdp_extract::ExtractConfig;
-pub use sdp_gp::{GpConfig, WirelengthModel};
+pub use sdp_gp::{GpConfig, WirelengthModel, MAX_THREADS};
 pub use sdp_progress::{
     CancelToken, Cancelled, Clock, ManualClock, MonotonicClock, NullSink, Observer, Phase,
     ProgressSink, TokenSink,

@@ -12,8 +12,43 @@
 //! where `cap_b` is the bin's capacity (bin area × target density − fixed
 //! area already in the bin). Both the value and the analytic gradient with
 //! respect to every movable cell centre are provided.
+//!
+//! # Table-driven evaluation
+//!
+//! The kernel is separable, `θ(bin) = θx(column) · θy(row)`, and a bin
+//! centre's x depends only on its column (its y only on its row). One
+//! evaluation therefore runs in three phases over scratch the model owns
+//! and reuses:
+//!
+//! 1. **Tables.** In parallel over fixed chunks of the movable cells, each
+//!    cell's bin window is clipped to the grid and θ is tabulated once per
+//!    window column and once per window row. The cell's kernel mass
+//!    `Σ θx·θy` (which normalizes its potential to its area) is summed
+//!    from the table.
+//! 2. **Potential.** In parallel over fixed bands of grid rows, each band
+//!    adds the deposits `c_i · θx·θy` of the cells whose windows reach it,
+//!    in movable-cell order.
+//! 3. **Gradients.** In parallel over the cell chunks, each cell computes
+//!    its signed dθ once per window column and row, then folds its
+//!    gradient from those, its θ table, and the bins' overfill. Only this
+//!    phase needs dθ, so it is not stored: the tables hold one `f64` per
+//!    window column and row, which halves them and measured no slower.
+//!
+//! The per-bin penalty fold between phases 2 and 3 stays sequential
+//! (it is O(bins)), and the per-cell gradients are added into the caller's
+//! buffer in movable-cell order. Every value is the product or sum that a
+//! per-bin evaluation forms (the tests keep one as the reference), in the
+//! same order; only the repeated evaluations of θ and dθ are shared.
+//!
+//! **Determinism.** Every bin belongs to exactly one band, and a band
+//! visits its cells in movable-cell order, so every bin sums its deposits
+//! in cell order — the addition sequence of a one-cell-at-a-time serial
+//! pass — whatever the band split or thread count. Everything else a
+//! thread computes belongs to one cell. The result is bitwise identical
+//! on any [`Executor`]; [`DensityModel::eval`] is the same code on a
+//! one-thread executor.
 
-use crate::exec::{chunk_count, chunk_range, Executor};
+use crate::exec::Executor;
 use sdp_geom::{BinGrid, Point, Rect};
 use sdp_netlist::{CellId, Netlist};
 
@@ -74,24 +109,97 @@ impl Bell {
     }
 }
 
-/// The density model: bin grid, capacities, and scratch potential field.
+/// Grid rows per potential band. Purely a scheduling granularity: results
+/// never depend on it (see the module docs).
+const BAND_ROWS: usize = 4;
+
+/// Movable-cell chunk size for the table and gradient phases. Purely a
+/// scheduling granularity: results never depend on it.
+const CELL_CHUNK: usize = 128;
+
+/// One movable cell's bin window at the current evaluation.
+#[derive(Debug, Clone, Copy, Default)]
+struct Window {
+    /// First column and row of the window.
+    ix: usize,
+    iy: usize,
+    /// Column and row counts; both `0` when the kernel misses the region.
+    nx: usize,
+    ny: usize,
+    /// Where the cell's θ values start in its chunk's table: one per
+    /// window column, then one per window row.
+    at: usize,
+    /// Kernel normalization: cell area over kernel mass, or `0.0` when
+    /// the mass vanishes (the cell then deposits nothing).
+    norm: f64,
+}
+
+/// Table and gradient scratch for one chunk of movable cells.
+#[derive(Debug, Clone, Default)]
+struct CellChunk {
+    windows: Vec<Window>,
+    /// θ per window column, then per window row, cell after cell.
+    theta: Vec<f64>,
+    /// One cell's signed dθ per window column, then per row.
+    slope: Vec<f64>,
+    /// Each cell's gradient at the last evaluation.
+    grad: Vec<Point>,
+}
+
+/// What every job of one evaluation reads: the inputs and the grid.
+struct Frame<'a> {
+    netlist: &'a Netlist,
+    pos: &'a [Point],
+    inflation: &'a [f64],
+    grid: &'a BinGrid,
+    /// Bin-centre x of every grid column and y of every grid row.
+    col_x: &'a [f64],
+    row_y: &'a [f64],
+}
+
+impl Frame<'_> {
+    /// Cell `c`'s centre and its kernels along x (inflated width) and y.
+    fn kernels(&self, c: CellId) -> (Point, Bell, Bell) {
+        let m = self.netlist.master_of(c);
+        (
+            self.pos[c.ix()],
+            Bell::new(m.width * self.inflation[c.ix()], self.grid.bin_w()),
+            Bell::new(m.height, self.grid.bin_h()),
+        )
+    }
+}
+
+/// Potential scratch for one band of grid rows.
+#[derive(Debug, Clone, Default)]
+struct Band {
+    /// Movable-list index of every depositing cell whose window reaches
+    /// the band, in movable-cell order.
+    cells: Vec<usize>,
+    /// Potential of the band's bins, row-major.
+    potential: Vec<f64>,
+}
+
+/// The density model: bin grid, capacities, and evaluation scratch.
 #[derive(Debug, Clone)]
 pub struct DensityModel {
     grid: BinGrid,
     /// Per-bin capacity after subtracting fixed-cell area.
     capacity: Vec<f64>,
-    /// Scratch: per-bin accumulated potential.
+    /// Per-bin accumulated potential at the last evaluation.
     potential: Vec<f64>,
-    /// Per-cell kernel normalization constants, recomputed each evaluation.
-    norm: Vec<f64>,
     /// Per-cell area inflation factors (routability-driven placement
     /// widens cells in congested regions); `1.0` = no inflation.
     inflation: Vec<f64>,
-    /// Movable-cell ids in netlist order, cached so parallel evaluation
-    /// does not rebuild the list every call.
+    /// Movable-cell ids in netlist order, cached so evaluation does not
+    /// rebuild the list every call.
     movable: Vec<CellId>,
-    /// Scratch: per-cell deposit list reused across accumulation passes.
-    deposit_scratch: Vec<(usize, f64)>,
+    /// Bin-centre x of every grid column and y of every grid row.
+    col_x: Vec<f64>,
+    row_y: Vec<f64>,
+    /// Scratch: one entry per [`CELL_CHUNK`]-cell chunk of `movable`.
+    chunks: Vec<CellChunk>,
+    /// Scratch: one entry per [`BAND_ROWS`]-row band of the grid.
+    bands: Vec<Band>,
     /// Total movable area, for the overflow ratio.
     movable_area: f64,
 }
@@ -133,15 +241,32 @@ impl DensityModel {
                 });
             }
         }
-        let len = grid.len();
+        let movable: Vec<CellId> = netlist.movable_ids().collect();
+        let bands = (0..ny.div_ceil(BAND_ROWS))
+            .map(|b| Band {
+                cells: Vec::new(),
+                potential: vec![0.0; band_rows(b, ny).len() * nx],
+            })
+            .collect();
         DensityModel {
-            grid,
             capacity,
-            potential: vec![0.0; len],
-            norm: vec![0.0; netlist.num_cells()],
+            potential: vec![0.0; grid.len()],
             inflation: vec![1.0; netlist.num_cells()],
-            movable: netlist.movable_ids().collect(),
-            deposit_scratch: Vec::new(),
+            col_x: (0..nx).map(|ix| grid.bin_center((ix, 0)).x).collect(),
+            row_y: (0..ny).map(|iy| grid.bin_center((0, iy)).y).collect(),
+            chunks: (0..movable.len().div_ceil(CELL_CHUNK))
+                .map(|ci| {
+                    let n = chunk_cells(&movable, ci).len();
+                    CellChunk {
+                        windows: Vec::with_capacity(n),
+                        grad: Vec::with_capacity(n),
+                        ..CellChunk::default()
+                    }
+                })
+                .collect(),
+            bands,
+            movable,
+            grid,
             movable_area: netlist.movable_area().max(1e-12),
         }
     }
@@ -155,7 +280,7 @@ impl DensityModel {
     /// Panics if the vector length does not match the netlist or any
     /// factor is below 1.
     pub fn set_inflation(&mut self, inflation: Vec<f64>) {
-        assert_eq!(inflation.len(), self.norm.len(), "one factor per cell");
+        assert_eq!(inflation.len(), self.inflation.len(), "one factor per cell");
         assert!(
             inflation.iter().all(|&f| f >= 1.0),
             "inflation factors must be >= 1"
@@ -180,31 +305,15 @@ impl DensityModel {
     /// Evaluates the density penalty `Σ (overfill)²` at `pos`, accumulating
     /// the gradient into `grad` (one entry per cell; caller zeroes it).
     /// Also refreshes the internal potential field used by
-    /// [`DensityModel::overflow`].
+    /// [`DensityModel::overflow`]. This is [`DensityModel::eval_with`] on
+    /// a one-thread executor.
     pub fn eval(&mut self, netlist: &Netlist, pos: &[Point], grad: &mut [Point]) -> f64 {
-        self.accumulate_potential(netlist, pos);
-        let penalty = self.penalty();
-
-        // Gradient: d/dx Σ (over_b)⁺² = Σ 2 over_b⁺ · c_i · θy · dθx/dx.
-        for c in netlist.movable_ids() {
-            let g = self.cell_gradient(netlist, c, pos[c.ix()]);
-            grad[c.ix()].x += g.x;
-            grad[c.ix()].y += g.y;
-        }
-        penalty
+        self.eval_with(netlist, pos, grad, &Executor::sequential())
     }
 
-    /// Like [`DensityModel::eval`], evaluated across `exec`'s thread pool.
-    ///
-    /// The evaluation runs in three phases: (1) per-cell kernel masses and
-    /// potential deposits are computed in parallel over contiguous chunks
-    /// of the movable-cell list, then applied to the shared potential
-    /// field sequentially in chunk order — replaying the exact addition
-    /// sequence of the sequential pass; (2) the per-bin penalty fold stays
-    /// sequential (it is O(bins)); (3) per-cell gradients are computed in
-    /// parallel (each cell's gradient is written by exactly one chunk).
-    /// The result is bitwise identical to [`DensityModel::eval`] at any
-    /// thread count.
+    /// Like [`DensityModel::eval`], with the table, potential and gradient
+    /// phases (see the module docs) spread over `exec`'s thread pool. The
+    /// result is bitwise identical at any thread count.
     pub fn eval_with(
         &mut self,
         netlist: &Netlist,
@@ -212,91 +321,60 @@ impl DensityModel {
         grad: &mut [Point],
         exec: &Executor,
     ) -> f64 {
-        if exec.threads() == 1 {
-            return self.eval(netlist, pos, grad);
-        }
-
-        // Phase 1: masses + deposits in parallel, applied in chunk order.
-        let parts: Vec<PotentialChunk> = {
-            let grid = &self.grid;
-            let inflation = &self.inflation;
-            let movable = &self.movable;
-            exec.map(chunk_count(movable.len(), CELL_CHUNK), |ci| {
-                let cells = chunk_range(movable.len(), CELL_CHUNK, ci);
-                let mut part = PotentialChunk {
-                    // sdp-lint: allow(hot-loop-alloc) -- one exact-sized
-                    // buffer per 128-cell chunk, amortized over the chunk.
-                    norms: Vec::with_capacity(cells.len()),
-                    // sdp-lint: allow(hot-loop-alloc) -- per-chunk deposit
-                    // list; grows once then amortizes across the chunk.
-                    deposits: Vec::new(),
-                };
-                for &c in &movable[cells] {
-                    let m = netlist.master_of(c);
-                    let center = pos[c.ix()];
-                    let infl = inflation[c.ix()];
-                    let bx = Bell::new(m.width * infl, grid.bin_w());
-                    let by = Bell::new(m.height, grid.bin_h());
-                    let mut mass = 0.0;
-                    for_bins_in_radius(grid, center, &bx, &by, |bix| {
-                        let bc = grid.bin_center(bix);
-                        mass +=
-                            bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
-                    });
-                    let ci_norm = if mass > 1e-12 {
-                        m.area() * infl / mass
-                    } else {
-                        0.0
-                    };
-                    part.norms.push((c.ix(), ci_norm));
-                    // Exact sentinel: the branch above assigns literal 0.0,
-                    // never a computed value.
-                    if ci_norm == 0.0 {
-                        continue;
-                    }
-                    for_bins_in_radius(grid, center, &bx, &by, |bix| {
-                        let bc = grid.bin_center(bix);
-                        let t =
-                            bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
-                        if t > 0.0 {
-                            part.deposits.push((grid.flat(bix), ci_norm * t));
-                        }
-                    });
-                }
-                part
-            })
+        let frame = Frame {
+            netlist,
+            pos,
+            inflation: &self.inflation,
+            grid: &self.grid,
+            col_x: &self.col_x,
+            row_y: &self.row_y,
         };
-        self.potential.fill(0.0);
-        for part in parts {
-            for (cell, ci_norm) in part.norms {
-                self.norm[cell] = ci_norm;
-            }
-            for (f, v) in part.deposits {
-                self.potential[f] += v;
+        let movable = &self.movable[..];
+
+        // Phase 1: per-cell windows, θ tables and normalizations.
+        exec.for_each_mut(&mut self.chunks, |ci, chunk| {
+            chunk.tabulate(chunk_cells(movable, ci), &frame);
+        });
+
+        // Phase 2: each band collects the depositing cells that reach it,
+        // in movable order, then accumulates its own rows' potential.
+        for band in &mut self.bands {
+            band.cells.clear();
+        }
+        for (ci, chunk) in self.chunks.iter().enumerate() {
+            for (k, w) in (ci * CELL_CHUNK..).zip(&chunk.windows) {
+                // Exact sentinel: `norm` is either a guarded quotient or
+                // literal 0.0, and a zero-norm cell deposits nothing.
+                if w.norm == 0.0 {
+                    continue;
+                }
+                let bands = w.iy / BAND_ROWS..=(w.iy + w.ny - 1) / BAND_ROWS;
+                for band in &mut self.bands[bands] {
+                    band.cells.push(k);
+                }
             }
         }
+        let (nx, ny) = (self.grid.nx(), self.grid.ny());
+        let chunks = &self.chunks[..];
+        exec.for_each_mut(&mut self.bands, |b, band| {
+            band.deposit(band_rows(b, ny), chunks, nx);
+        });
+        for (rows, band) in self.potential.chunks_mut(BAND_ROWS * nx).zip(&self.bands) {
+            rows.copy_from_slice(&band.potential);
+        }
 
-        // Phase 2: per-bin penalty (sequential, cheap).
+        // Per-bin penalty (sequential, cheap).
         let penalty = self.penalty();
 
-        // Phase 3: per-cell gradients. Each cell belongs to exactly one
-        // chunk, so there is no cross-chunk accumulation to order.
-        let grads: Vec<Vec<(usize, Point)>> = {
-            let this = &*self;
-            let movable = &self.movable;
-            exec.map(chunk_count(movable.len(), CELL_CHUNK), |ci| {
-                movable[chunk_range(movable.len(), CELL_CHUNK, ci)]
-                    .iter()
-                    .map(|&c| (c.ix(), this.cell_gradient(netlist, c, pos[c.ix()])))
-                    // sdp-lint: allow(hot-loop-alloc) -- one exact-sized
-                    // gradient list per 128-cell chunk.
-                    .collect()
-            })
-        };
-        for part in grads {
-            for (cell, g) in part {
-                grad[cell].x += g.x;
-                grad[cell].y += g.y;
+        // Phase 3: per-cell gradients from the θ tables.
+        let (potential, capacity) = (&self.potential[..], &self.capacity[..]);
+        exec.for_each_mut(&mut self.chunks, |ci, chunk| {
+            chunk.gradients(chunk_cells(movable, ci), &frame, potential, capacity);
+        });
+        for (ci, chunk) in self.chunks.iter().enumerate() {
+            for (&c, g) in chunk_cells(movable, ci).iter().zip(&chunk.grad) {
+                grad[c.ix()].x += g.x;
+                grad[c.ix()].y += g.y;
             }
         }
         penalty
@@ -314,40 +392,6 @@ impl DensityModel {
         penalty
     }
 
-    /// One movable cell's density gradient at `center`, given the current
-    /// potential field and normalization constants.
-    fn cell_gradient(&self, netlist: &Netlist, c: CellId, center: Point) -> Point {
-        let m = netlist.master_of(c);
-        let infl = self.inflation[c.ix()];
-        let bx = Bell::new(m.width * infl, self.grid.bin_w());
-        let by = Bell::new(m.height, self.grid.bin_h());
-        let ci = self.norm[c.ix()];
-        // Exact sentinel: `norm` entries are either a guarded quotient or
-        // literal 0.0 (see update_norms).
-        if ci == 0.0 {
-            return Point::ORIGIN;
-        }
-        let mut gx = 0.0;
-        let mut gy = 0.0;
-        for_bins_in_radius(&self.grid, center, &bx, &by, |bix| {
-            let bc = self.grid.bin_center(bix);
-            let f = self.grid.flat(bix);
-            let over = self.potential[f] - self.capacity[f];
-            if over <= 0.0 {
-                return;
-            }
-            let dx = center.x - bc.x;
-            let dy = center.y - bc.y;
-            let tx = bx.theta(dx.abs());
-            let ty = by.theta(dy.abs());
-            let dtx = bx.dtheta(dx.abs()) * dx.signum();
-            let dty = by.dtheta(dy.abs()) * dy.signum();
-            gx += 2.0 * over * ci * dtx * ty;
-            gy += 2.0 * over * ci * tx * dty;
-        });
-        Point::new(gx, gy)
-    }
-
     /// Total overflow ratio at the last-evaluated positions: the summed
     /// per-bin overfill divided by the total movable area. `0` means every
     /// bin is at or under its capacity.
@@ -360,82 +404,141 @@ impl DensityModel {
             .sum();
         over / self.movable_area
     }
+}
 
-    /// Recomputes the potential field and per-cell normalizations.
-    fn accumulate_potential(&mut self, netlist: &Netlist, pos: &[Point]) {
-        self.potential.fill(0.0);
-        // One deposit buffer reused across all cells; it must live outside
-        // `self` while filling because the visitor closure borrows the grid.
-        let mut deposits = std::mem::take(&mut self.deposit_scratch);
-        for c in netlist.movable_ids() {
-            let m = netlist.master_of(c);
-            let center = pos[c.ix()];
-            let infl = self.inflation[c.ix()];
-            let bx = Bell::new(m.width * infl, self.grid.bin_w());
-            let by = Bell::new(m.height, self.grid.bin_h());
-            // Pass 1: kernel mass for normalization (Σ θxθy → cell area).
-            let mut mass = 0.0;
-            for_bins_in_radius(&self.grid, center, &bx, &by, |bix| {
-                let bc = self.grid.bin_center(bix);
-                mass += bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
-            });
-            let ci = if mass > 1e-12 {
-                m.area() * infl / mass
-            } else {
-                0.0
+/// The movable cells of chunk `ci`: [`CELL_CHUNK`] cells from
+/// `ci · CELL_CHUNK`, fewer in the last chunk.
+fn chunk_cells(movable: &[CellId], ci: usize) -> &[CellId] {
+    let start = ci * CELL_CHUNK;
+    &movable[start..(start + CELL_CHUNK).min(movable.len())]
+}
+
+/// The grid rows of band `b`: [`BAND_ROWS`] rows from `b · BAND_ROWS`,
+/// fewer in the last band.
+fn band_rows(b: usize, ny: usize) -> std::ops::Range<usize> {
+    let top = b * BAND_ROWS;
+    top..(top + BAND_ROWS).min(ny)
+}
+
+impl CellChunk {
+    /// Clips every cell's kernel window to the grid, tabulates θ once per
+    /// window column and once per window row, and sums the kernel mass
+    /// `Σ θx·θy` in row-major bin order for the normalization.
+    ///
+    /// The windows come first so the table can be sized exactly: a run
+    /// keeps its tables for every evaluation, and growth slack would
+    /// stay resident with them.
+    fn tabulate(&mut self, cells: &[CellId], frame: &Frame<'_>) {
+        self.windows.clear();
+        let mut at = 0;
+        for &c in cells {
+            let (center, bx, by) = frame.kernels(c);
+            let mut w = Window {
+                at,
+                ..Window::default()
             };
-            self.norm[c.ix()] = ci;
-            // Exact sentinel: the branch above assigns literal 0.0, never a
-            // computed value.
-            if ci == 0.0 {
-                continue;
+            let r = Rect::centered_at(center, 2.0 * bx.radius(), 2.0 * by.radius());
+            if let Some(clipped) = r.intersection(&frame.grid.region()) {
+                let ((ix_lo, ix_hi), (iy_lo, iy_hi)) = frame.grid.bins_overlapping(&clipped);
+                (w.ix, w.nx) = (ix_lo, ix_hi + 1 - ix_lo);
+                (w.iy, w.ny) = (iy_lo, iy_hi + 1 - iy_lo);
             }
-            // Pass 2: deposit normalized potential.
-            deposits.clear();
-            for_bins_in_radius(&self.grid, center, &bx, &by, |bix| {
-                let bc = self.grid.bin_center(bix);
-                let t = bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
-                if t > 0.0 {
-                    deposits.push((self.grid.flat(bix), ci * t));
+            at += w.nx + w.ny;
+            self.windows.push(w);
+        }
+        self.theta.clear();
+        self.theta.reserve_exact(at);
+        for (w, &c) in self.windows.iter_mut().zip(cells) {
+            let (center, bx, by) = frame.kernels(c);
+            let cols = frame.col_x[w.ix..][..w.nx].iter();
+            let rows = frame.row_y[w.iy..][..w.ny].iter();
+            self.theta.extend(
+                cols.map(|&x| bx.theta((center.x - x).abs()))
+                    .chain(rows.map(|&y| by.theta((center.y - y).abs()))),
+            );
+            let (theta_x, theta_y) = self.theta[w.at..].split_at(w.nx);
+            let mut mass = 0.0;
+            for &ty in theta_y {
+                for &tx in theta_x {
+                    mass += tx * ty;
                 }
-            });
-            for &(f, v) in &deposits {
-                self.potential[f] += v;
+            }
+            if mass > 1e-12 {
+                let area = frame.netlist.master_of(c).area();
+                w.norm = area * frame.inflation[c.ix()] / mass;
             }
         }
-        self.deposit_scratch = deposits;
+    }
+
+    /// Each cell's gradient `Σ 2·over_b·c_i·(dθx·θy, θx·dθy)` over the
+    /// overfilled bins of its window, in row-major bin order. Only this
+    /// phase needs the signed dθ, so it computes it here, once per window
+    /// column and row, rather than storing it beside θ.
+    fn gradients(
+        &mut self,
+        cells: &[CellId],
+        frame: &Frame<'_>,
+        potential: &[f64],
+        capacity: &[f64],
+    ) {
+        let nx = frame.grid.nx();
+        let slope = |bell: &Bell, d: f64| bell.dtheta(d.abs()) * d.signum();
+        self.grad.clear();
+        for (w, &c) in self.windows.iter().zip(cells) {
+            // Exact sentinel: see the deposit filter in `eval_with`.
+            if w.norm == 0.0 {
+                self.grad.push(Point::ORIGIN);
+                continue;
+            }
+            let (center, bx, by) = frame.kernels(c);
+            let cols = frame.col_x[w.ix..][..w.nx].iter();
+            let rows = frame.row_y[w.iy..][..w.ny].iter();
+            self.slope.clear();
+            self.slope.extend(
+                cols.map(|&x| slope(&bx, center.x - x))
+                    .chain(rows.map(|&y| slope(&by, center.y - y))),
+            );
+            let (theta_x, theta_y) = self.theta[w.at..][..w.nx + w.ny].split_at(w.nx);
+            let (slope_x, slope_y) = self.slope.split_at(w.nx);
+            let mut gx = 0.0;
+            let mut gy = 0.0;
+            for (iy, (&ty, &dty)) in (w.iy..).zip(theta_y.iter().zip(slope_y)) {
+                let row = iy * nx + w.ix;
+                let overfill = potential[row..row + w.nx]
+                    .iter()
+                    .zip(&capacity[row..row + w.nx]);
+                for ((&tx, &dtx), (&p, &cap)) in theta_x.iter().zip(slope_x).zip(overfill) {
+                    let over = p - cap;
+                    if over <= 0.0 {
+                        continue;
+                    }
+                    gx += 2.0 * over * w.norm * dtx * ty;
+                    gy += 2.0 * over * w.norm * tx * dty;
+                }
+            }
+            self.grad.push(Point::new(gx, gy));
+        }
     }
 }
 
-/// Movable-cell chunk size for parallel evaluation. Purely a scheduling
-/// granularity: results never depend on it.
-const CELL_CHUNK: usize = 128;
-
-/// One chunk's phase-1 output: per-cell normalization constants and
-/// potential deposits, both in cell order.
-struct PotentialChunk {
-    norms: Vec<(usize, f64)>,
-    deposits: Vec<(usize, f64)>,
-}
-
-/// Visits every bin whose centre lies within the kernel radius of
-/// `center`.
-fn for_bins_in_radius<F: FnMut((usize, usize))>(
-    grid: &BinGrid,
-    center: Point,
-    bx: &Bell,
-    by: &Bell,
-    mut f: F,
-) {
-    let r = Rect::centered_at(center, 2.0 * bx.radius(), 2.0 * by.radius());
-    let clipped = match r.intersection(&grid.region()) {
-        Some(c) => c,
-        None => return,
-    };
-    let ((ix_lo, ix_hi), (iy_lo, iy_hi)) = grid.bins_overlapping(&clipped);
-    for iy in iy_lo..=iy_hi {
-        for ix in ix_lo..=ix_hi {
-            f((ix, iy));
+impl Band {
+    /// Recomputes the potential of the band's `rows` from its cell list.
+    fn deposit(&mut self, rows: std::ops::Range<usize>, chunks: &[CellChunk], nx: usize) {
+        self.potential.fill(0.0);
+        for &k in &self.cells {
+            let chunk = &chunks[k / CELL_CHUNK];
+            let w = &chunk.windows[k % CELL_CHUNK];
+            let (theta_x, theta_y) = chunk.theta[w.at..][..w.nx + w.ny].split_at(w.nx);
+            for iy in w.iy.max(rows.start)..(w.iy + w.ny).min(rows.end) {
+                let ty = theta_y[iy - w.iy];
+                let at = (iy - rows.start) * nx + w.ix;
+                for (p, &tx) in self.potential[at..at + w.nx].iter_mut().zip(theta_x) {
+                    let t = tx * ty;
+                    if t > 0.0 {
+                        *p += w.norm * t;
+                    }
+                }
+            }
         }
     }
 }
@@ -625,38 +728,234 @@ mod tests {
         m.set_inflation(vec![1.0; 3]);
     }
 
-    #[test]
-    fn parallel_eval_is_bitwise_identical_to_sequential() {
-        use crate::exec::Executor;
-        use sdp_dpgen::{generate, GenConfig};
-        let d = generate(&GenConfig::named("dp_tiny", 13).unwrap());
-        let pos = d.placement.positions();
-        let region = d.design.region();
-        let base = DensityModel::new(&d.netlist, region, pos, 0.8, 16, 16);
-
-        let mut m1 = base.clone();
-        let mut g1 = vec![Point::ORIGIN; pos.len()];
-        let p1 = m1.eval(&d.netlist, pos, &mut g1);
-
-        for threads in [2usize, 4, 8] {
-            let exec = Executor::new(threads);
-            let mut mn = base.clone();
-            let mut gn = vec![Point::ORIGIN; pos.len()];
-            let pn = mn.eval_with(&d.netlist, pos, &mut gn, &exec);
-            assert_eq!(p1.to_bits(), pn.to_bits(), "penalty @ {threads} threads");
-            assert_eq!(
-                m1.overflow().to_bits(),
-                mn.overflow().to_bits(),
-                "overflow @ {threads} threads"
-            );
-            for (k, (a, b)) in g1.iter().zip(&gn).enumerate() {
-                assert_eq!(
-                    (a.x.to_bits(), a.y.to_bits()),
-                    (b.x.to_bits(), b.y.to_bits()),
-                    "grad[{k}] @ {threads} threads"
-                );
+    /// Visits every bin whose centre lies within the kernel radius of
+    /// `center` (reference kernel).
+    fn for_bins_in_radius<F: FnMut((usize, usize))>(
+        grid: &BinGrid,
+        center: Point,
+        bx: &Bell,
+        by: &Bell,
+        mut f: F,
+    ) {
+        let r = Rect::centered_at(center, 2.0 * bx.radius(), 2.0 * by.radius());
+        let clipped = match r.intersection(&grid.region()) {
+            Some(c) => c,
+            None => return,
+        };
+        let ((ix_lo, ix_hi), (iy_lo, iy_hi)) = grid.bins_overlapping(&clipped);
+        for iy in iy_lo..=iy_hi {
+            for ix in ix_lo..=ix_hi {
+                f((ix, iy));
             }
         }
+    }
+
+    /// The per-bin kernel the table-driven one replaced, kept as the
+    /// reference it must match bit for bit: θx·θy is evaluated afresh for
+    /// every bin of a cell's window in three passes (mass, deposit,
+    /// gradient), one cell at a time. Returns the penalty, the overflow
+    /// ratio, and the gradient.
+    fn reference_eval(
+        model: &DensityModel,
+        netlist: &Netlist,
+        pos: &[Point],
+    ) -> (f64, f64, Vec<Point>) {
+        let grid = &model.grid;
+        let kernels = |c: CellId| {
+            let m = netlist.master_of(c);
+            let infl = model.inflation[c.ix()];
+            (
+                Bell::new(m.width * infl, grid.bin_w()),
+                Bell::new(m.height, grid.bin_h()),
+            )
+        };
+
+        // Potential and per-cell normalizations.
+        let mut potential = vec![0.0; grid.len()];
+        let mut norm = vec![0.0; netlist.num_cells()];
+        for c in netlist.movable_ids() {
+            let center = pos[c.ix()];
+            let (bx, by) = kernels(c);
+            let mut mass = 0.0;
+            for_bins_in_radius(grid, center, &bx, &by, |bix| {
+                let bc = grid.bin_center(bix);
+                mass += bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
+            });
+            let ci = if mass > 1e-12 {
+                netlist.master_of(c).area() * model.inflation[c.ix()] / mass
+            } else {
+                0.0
+            };
+            norm[c.ix()] = ci;
+            if ci == 0.0 {
+                continue;
+            }
+            for_bins_in_radius(grid, center, &bx, &by, |bix| {
+                let bc = grid.bin_center(bix);
+                let t = bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
+                if t > 0.0 {
+                    potential[grid.flat(bix)] += ci * t;
+                }
+            });
+        }
+
+        let mut penalty = 0.0;
+        for (f, &p) in potential.iter().enumerate() {
+            let over = p - model.capacity[f];
+            if over > 0.0 {
+                penalty += over * over;
+            }
+        }
+        let over: f64 = potential
+            .iter()
+            .zip(&model.capacity)
+            .map(|(&p, &c)| (p - c).max(0.0))
+            .sum();
+        let overflow = over / model.movable_area;
+
+        let mut grad = vec![Point::ORIGIN; netlist.num_cells()];
+        for c in netlist.movable_ids() {
+            let center = pos[c.ix()];
+            let (bx, by) = kernels(c);
+            let ci = norm[c.ix()];
+            let g = if ci == 0.0 {
+                Point::ORIGIN
+            } else {
+                let mut gx = 0.0;
+                let mut gy = 0.0;
+                for_bins_in_radius(grid, center, &bx, &by, |bix| {
+                    let bc = grid.bin_center(bix);
+                    let f = grid.flat(bix);
+                    let over = potential[f] - model.capacity[f];
+                    if over <= 0.0 {
+                        return;
+                    }
+                    let dx = center.x - bc.x;
+                    let dy = center.y - bc.y;
+                    let tx = bx.theta(dx.abs());
+                    let ty = by.theta(dy.abs());
+                    let dtx = bx.dtheta(dx.abs()) * dx.signum();
+                    let dty = by.dtheta(dy.abs()) * dy.signum();
+                    gx += 2.0 * over * ci * dtx * ty;
+                    gy += 2.0 * over * ci * tx * dty;
+                });
+                Point::new(gx, gy)
+            };
+            grad[c.ix()].x += g.x;
+            grad[c.ix()].y += g.y;
+        }
+        (penalty, overflow, grad)
+    }
+
+    /// Position sets that reach every branch of the kernel: the generated
+    /// placement, a jittered copy (bins straddled as in mid-GP states),
+    /// every cell stacked on one point, and cells pushed past the region
+    /// edge — clipped windows, windows that miss the region entirely, and
+    /// windows that meet it only where θ vanishes (zero-mass cells).
+    fn position_sets(
+        nl: &Netlist,
+        generated: &[Point],
+        grid: &BinGrid,
+        inflation: &[f64],
+    ) -> Vec<Vec<Point>> {
+        let region = grid.region();
+        let jittered: Vec<Point> = generated
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                let k = i as f64;
+                region.clamp_point(Point::new(
+                    p.x + ((k * 7.31) % 5.0 - 2.5) * grid.bin_w(),
+                    p.y + ((k * 3.17) % 3.0 - 1.5) * grid.bin_h(),
+                ))
+            })
+            .collect();
+        let stacked = vec![region.center(); generated.len()];
+        let pushed: Vec<Point> = nl
+            .cell_ids()
+            .map(|c| {
+                let p = generated[c.ix()];
+                // Case 3 reaches 1e-3 bin widths into the region: its window
+                // keeps the edge column, whose centre lies beyond the
+                // kernel's reach, so the window is non-empty with zero mass.
+                let reach = nl.master_of(c).width * inflation[c.ix()] / 2.0 + 2.0 * grid.bin_w();
+                match c.ix() % 5 {
+                    0 => Point::new(region.x1() - 0.3 * grid.bin_w(), p.y),
+                    1 => Point::new(region.x2() + 10.0 * region.width(), p.y),
+                    2 => Point::new(
+                        region.x2() + 0.7 * grid.bin_w(),
+                        region.y2() + 0.4 * grid.bin_h(),
+                    ),
+                    3 => Point::new(region.x1() - reach + 1e-3 * grid.bin_w(), p.y),
+                    _ => Point::new(p.x, region.y1() - 1.2 * grid.bin_h()),
+                }
+            })
+            .collect();
+        vec![generated.to_vec(), jittered, stacked, pushed]
+    }
+
+    #[test]
+    fn table_kernel_matches_the_per_bin_reference_bitwise() {
+        use crate::exec::Executor;
+        use sdp_dpgen::{generate, GenConfig};
+        let execs: Vec<Executor> = [1, 2, 3, 8].into_iter().map(Executor::new).collect();
+        // Which kernel branches the inputs reached, checked at the end.
+        let (mut missed, mut zero_mass, mut multi_band) = (false, false, false);
+        for name in ["dp_tiny", "dp_small"] {
+            let d = generate(&GenConfig::named(name, 13).unwrap());
+            let nl = &d.netlist;
+            let generated = d.placement.positions();
+            let region = d.design.region();
+            let stretched: Vec<f64> = (0..nl.num_cells())
+                .map(|i| 1.0 + (i % 5) as f64 / 4.0)
+                .collect();
+            // 43 and 98 are the dp_medium/dp_huge grids, and neither is a
+            // multiple of the band height.
+            for bins in [16, 43, 98] {
+                // One model per grid: its scratch is reused across every
+                // position set, inflation and executor below.
+                let mut model = DensityModel::new(nl, region, generated, 0.8, bins, bins);
+                for (infl, inflation) in [
+                    ("1x", vec![1.0; nl.num_cells()]),
+                    ("<=2x", stretched.clone()),
+                ] {
+                    model.set_inflation(inflation.clone());
+                    let sets = position_sets(nl, generated, model.grid(), &inflation);
+                    for (set, pos) in sets.iter().enumerate() {
+                        let (penalty, overflow, reference) = reference_eval(&model, nl, pos);
+                        for exec in &execs {
+                            let at = format!(
+                                "{name} {bins}x{bins} set {set} infl {infl} @ {} threads",
+                                exec.threads()
+                            );
+                            let mut grad = vec![Point::ORIGIN; pos.len()];
+                            let p = model.eval_with(nl, pos, &mut grad, exec);
+                            assert_eq!(p.to_bits(), penalty.to_bits(), "penalty: {at}");
+                            assert_eq!(
+                                model.overflow().to_bits(),
+                                overflow.to_bits(),
+                                "overflow: {at}"
+                            );
+                            for (k, (a, b)) in grad.iter().zip(&reference).enumerate() {
+                                assert_eq!(
+                                    (a.x.to_bits(), a.y.to_bits()),
+                                    (b.x.to_bits(), b.y.to_bits()),
+                                    "grad[{k}]: {at}"
+                                );
+                            }
+                        }
+                        for w in model.chunks.iter().flat_map(|c| &c.windows) {
+                            missed |= w.nx == 0;
+                            zero_mass |= w.nx > 0 && w.norm == 0.0;
+                            multi_band |= w.iy % BAND_ROWS + w.ny > BAND_ROWS;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(missed, "no window missed the region");
+        assert!(zero_mass, "no window met the region only where θ vanishes");
+        assert!(multi_band, "no window spanned two bands");
     }
 
     #[test]

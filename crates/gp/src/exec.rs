@@ -7,17 +7,22 @@
 //! kernels build on:
 //!
 //! * [`Executor`] — a fixed-size pool of worker threads (plus the calling
-//!   thread) that maps an indexed set of jobs to results **in index
-//!   order**. Job *scheduling* is dynamic (work stealing over an atomic
-//!   counter) and therefore non-deterministic, but the returned `Vec` is
-//!   always ordered by job index, so any reduction the caller performs in
-//!   that order is independent of thread count and scheduling.
+//!   thread) with one dispatch protocol, [`Executor::for_each_mut`]: job
+//!   `i` gets exclusive `&mut` access to item `i` of a caller-owned
+//!   slice, so kernels write model-owned scratch in place.
+//!   [`Executor::map`] is that protocol over one result slot per job.
+//!   Job *scheduling* is dynamic (work stealing over an atomic counter)
+//!   and therefore non-deterministic, but every job owns a fixed item and
+//!   `map`'s output is ordered by job index, so any reduction the caller
+//!   performs in that order is independent of thread count and
+//!   scheduling.
 //! * [`chunk_ranges`] — splits `0..len` into contiguous chunks whose
 //!   boundaries depend only on `len`, never on the thread count.
 //!
 //! With `threads == 1` the executor runs every job inline on the calling
-//! thread with no pool, no atomics, and no boxing — the legacy sequential
-//! path.
+//! thread with no pool, no atomics, and no boxing. Thread counts above
+//! [`MAX_THREADS`] are rejected where they enter the program (CLI flags,
+//! served specs) and clamped by [`Executor::new`].
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -46,7 +51,7 @@ impl Latch {
     fn count_down(&self) {
         // sdp-lint: allow(panic-reachability) -- a poisoned latch means a
         // worker already panicked; propagating that panic is the executor's
-        // error model (Executor::map re-raises it on the caller thread).
+        // error model (for_each_mut re-raises it on the caller thread).
         let mut left = self.remaining.lock().expect("latch poisoned");
         *left -= 1;
         if *left == 0 {
@@ -57,7 +62,7 @@ impl Latch {
     fn wait(&self) {
         // sdp-lint: allow(panic-reachability) -- a poisoned latch means a
         // worker already panicked; propagating that panic is the executor's
-        // error model (Executor::map re-raises it on the caller thread).
+        // error model (for_each_mut re-raises it on the caller thread).
         let mut left = self.remaining.lock().expect("latch poisoned");
         while *left > 0 {
             // sdp-lint: allow(panic-reachability) -- same poisoning argument
@@ -139,8 +144,8 @@ impl Drop for ThreadPool {
     }
 }
 
-/// Runs indexed job sets across a fixed number of threads, returning
-/// results in job-index order.
+/// Runs indexed job sets across a fixed number of threads, either in place
+/// over caller-owned items or returning results in job-index order.
 ///
 /// Construct one per placement run and share it across kernel
 /// evaluations; worker threads persist for the executor's lifetime.
@@ -157,10 +162,17 @@ impl std::fmt::Debug for Executor {
     }
 }
 
+/// The largest kernel thread count a run may ask for. [`Executor::new`]
+/// spawns its worker threads eagerly, so an unchecked count from a CLI
+/// flag or a served spec could exhaust the host's thread limit; input
+/// boundaries reject anything larger as a typed error.
+pub const MAX_THREADS: usize = 256;
+
 impl Executor {
     /// Creates an executor with the given thread count. `0` selects the
-    /// machine's available parallelism; `1` is the sequential legacy path
-    /// (no pool is created).
+    /// machine's available parallelism; `1` runs every job inline (no pool
+    /// is created). Counts above [`MAX_THREADS`] are clamped to it, which
+    /// changes no result: kernels are bitwise identical at any count.
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
             std::thread::available_parallelism()
@@ -168,7 +180,8 @@ impl Executor {
                 .unwrap_or(1)
         } else {
             threads
-        };
+        }
+        .min(MAX_THREADS);
         let pool = if threads > 1 {
             Some(ThreadPool::new(threads - 1))
         } else {
@@ -190,42 +203,45 @@ impl Executor {
         self.threads
     }
 
-    /// Evaluates `f(0), f(1), …, f(n-1)` across the pool and returns the
-    /// results **in index order**. The calling thread participates, so an
-    /// executor with `threads == 1` degenerates to a plain sequential map.
+    /// Calls `f(i, &mut items[i])` for every index across the pool, the
+    /// calling thread included; on a one-thread executor this is a plain
+    /// loop.
     ///
-    /// Scheduling is dynamic (jobs are stolen off an atomic counter), but
-    /// because the output preserves index order, any fold the caller does
-    /// over it is deterministic regardless of thread count.
+    /// Each item is handed to exactly one job, so jobs write their own
+    /// item in place and the dispatch allocates nothing but one small
+    /// box per helper thread. Scheduling is dynamic (jobs are stolen off
+    /// an atomic counter), so a result that must not depend on the thread
+    /// count may depend on which item a job writes, never on the order
+    /// the jobs run in.
     ///
     /// If any job panics, the panic is re-raised on the calling thread
     /// after all in-flight jobs have finished (no worker is left holding a
     /// dangling reference).
-    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
+    pub fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
     where
         T: Send,
-        F: Fn(usize) -> T + Sync,
+        F: Fn(usize, &mut T) + Sync,
     {
+        let n = items.len();
         let pool = match &self.pool {
             Some(pool) if n > 1 => pool,
-            // sdp-lint: allow(hot-loop-alloc) -- the collect IS the result
-            // vector map returns; callers own and reuse it.
-            _ => return (0..n).map(f).collect(),
+            _ => {
+                for (i, item) in items.iter_mut().enumerate() {
+                    f(i, item);
+                }
+                return;
+            }
         };
 
-        // sdp-lint: allow(hot-loop-alloc) -- the result buffer itself;
-        // map's contract is to return a fresh Vec<T> per call.
-        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-        slots.resize_with(n, || None);
         let shared = Shared {
             f: &f,
-            slots: SlotsPtr(slots.as_mut_ptr()),
+            items: ItemsPtr(items.as_mut_ptr()),
             n,
             next: AtomicUsize::new(0),
             panic: Mutex::new(None),
         };
 
-        let helpers = (self.threads - 1).min(n.saturating_sub(1));
+        let helpers = (self.threads - 1).min(n - 1);
         let latch = Latch::new(helpers);
         {
             let shared_ref = &shared;
@@ -257,13 +273,33 @@ impl Executor {
         // sdp-lint: allow(panic-reachability) -- the panic slot is poisoned
         // only if a worker panicked while recording a panic; re-raising is
         // exactly what this block does anyway.
-        if let Some(payload) = shared.panic.lock().expect("panic slot poisoned").take() {
+        let job_panic = shared.panic.lock().expect("panic slot poisoned").take();
+        if let Some(payload) = job_panic {
             resume_unwind(payload);
         }
+    }
+
+    /// Evaluates `f(0), f(1), …, f(n-1)` across the pool and returns the
+    /// results **in index order**: [`Executor::for_each_mut`] over one
+    /// result slot per index.
+    ///
+    /// Because the output preserves index order, any fold the caller does
+    /// over it is deterministic regardless of thread count. Panics
+    /// propagate as in [`Executor::for_each_mut`].
+    pub fn map<T, F>(&self, n: usize, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize) -> T + Sync,
+    {
+        // sdp-lint: allow(hot-loop-alloc) -- the result buffer itself;
+        // map's contract is to return a fresh Vec<T> per call.
+        let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
+        slots.resize_with(n, || None);
+        self.for_each_mut(&mut slots, |i, slot| *slot = Some(f(i)));
         slots
             .into_iter()
-            // sdp-lint: allow(panic-reachability) -- the latch guarantees all
-            // n jobs completed and each job writes exactly its own slot; an
+            // sdp-lint: allow(panic-reachability) -- for_each_mut returns
+            // only after every job ran, and each job fills its own slot; an
             // empty slot is a broken executor invariant worth crashing on.
             .map(|s| s.expect("every job index was drained"))
             // sdp-lint: allow(hot-loop-alloc) -- unwrapping the slot buffer
@@ -272,60 +308,57 @@ impl Executor {
     }
 }
 
-/// Raw pointer to the result slots; each index is written by exactly one
-/// thread (whoever wins it off the atomic counter), and the latch's mutex
-/// establishes the happens-before edge for the caller's reads.
-struct SlotsPtr<T>(*mut Option<T>);
+/// Raw pointer to the items of one [`Executor::for_each_mut`] call; each
+/// index is claimed by exactly one thread (whoever wins it off the atomic
+/// counter), and the latch's mutex establishes the happens-before edge
+/// for the caller's later reads.
+struct ItemsPtr<T>(*mut T);
 
-// SAFETY: `SlotsPtr` is only used to write disjoint indices from multiple
-// threads; `T: Send` is required at the `map` boundary.
-unsafe impl<T: Send> Send for SlotsPtr<T> {}
-// SAFETY: shared references never read through the pointer; every thread
-// writes only the disjoint slot it claimed, as for `Send` above.
-unsafe impl<T: Send> Sync for SlotsPtr<T> {}
+// SAFETY: `ItemsPtr` is only used to reach disjoint indices from multiple
+// threads; `T: Send` is required at the `for_each_mut` boundary.
+unsafe impl<T: Send> Send for ItemsPtr<T> {}
+// SAFETY: shared references only hand out the pointer; every thread
+// touches only the disjoint item it claimed, as for `Send` above.
+unsafe impl<T: Send> Sync for ItemsPtr<T> {}
 
 struct Shared<'a, T, F> {
     f: &'a F,
-    slots: SlotsPtr<T>,
+    items: ItemsPtr<T>,
     n: usize,
     next: AtomicUsize,
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-/// Steals job indices until none remain, writing each result into its
-/// slot. On panic, records the payload (first wins) and stops stealing;
+/// Steals job indices until none remain, running each job on its own
+/// item. On panic, records the payload (first wins) and stops stealing;
 /// remaining indices are drained by the other participants.
 fn drain<T, F>(shared: &Shared<'_, T, F>)
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    F: Fn(usize, &mut T) + Sync,
 {
     loop {
         let i = shared.next.fetch_add(1, Ordering::Relaxed);
         if i >= shared.n {
             return;
         }
-        match catch_unwind(AssertUnwindSafe(|| (shared.f)(i))) {
-            Ok(value) => {
-                // SAFETY: index `i` was claimed exclusively via fetch_add,
-                // so no other thread writes this slot; `i < n` is checked
-                // above and the buffer holds `n` slots.
-                unsafe { *shared.slots.0.add(i) = Some(value) };
+        // SAFETY: index `i` was claimed exclusively via fetch_add, so no
+        // other thread holds a reference to this item; `i < n` is checked
+        // above, and the slice of `n` items outlives the call.
+        let item = unsafe { &mut *shared.items.0.add(i) };
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (shared.f)(i, item))) {
+            // sdp-lint: allow(panic-reachability) -- poisoning here means
+            // another worker panicked while recording its own panic; the
+            // first recorded panic still reaches the caller.
+            let mut slot = shared.panic.lock().expect("panic slot poisoned");
+            if slot.is_none() {
+                *slot = Some(payload);
             }
-            Err(payload) => {
-                // sdp-lint: allow(panic-reachability) -- poisoning here means
-                // another worker panicked while recording its own panic; the
-                // first recorded panic still reaches the caller.
-                let mut slot = shared.panic.lock().expect("panic slot poisoned");
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-                // Mark the queue exhausted so peers stop promptly; their
-                // already-claimed jobs still finish. (Storing `n`, not
-                // `usize::MAX`, keeps later `fetch_add`s from wrapping.)
-                shared.next.store(shared.n, Ordering::Relaxed);
-                return;
-            }
+            // Mark the queue exhausted so peers stop promptly; their
+            // already-claimed jobs still finish. (Storing `n`, not
+            // `usize::MAX`, keeps later `fetch_add`s from wrapping.)
+            shared.next.store(shared.n, Ordering::Relaxed);
+            return;
         }
     }
 }
@@ -420,6 +453,24 @@ mod tests {
     }
 
     #[test]
+    fn for_each_mut_runs_every_job_once_on_its_own_item() {
+        for threads in [1, 2, 3, 8] {
+            let exec = Executor::new(threads);
+            // Each job reads its item before overwriting it, so a job run
+            // twice, or on another job's item, leaves a wrong value.
+            let mut items: Vec<usize> = (0..100).map(|i| 10 * i).collect();
+            exec.for_each_mut(&mut items, |i, x| *x = *x * 3 + i);
+            assert_eq!(items, (0..100).map(|i| 31 * i).collect::<Vec<_>>());
+            exec.for_each_mut(&mut [] as &mut [usize], |_, _| unreachable!());
+        }
+    }
+
+    #[test]
+    fn executor_clamps_absurd_thread_counts() {
+        assert_eq!(Executor::new(MAX_THREADS + 1).threads(), MAX_THREADS);
+    }
+
+    #[test]
     fn map_handles_fewer_jobs_than_threads() {
         let exec = Executor::new(8);
         assert_eq!(exec.map(1, |i| i + 1), vec![1]);
@@ -458,65 +509,64 @@ mod tests {
     }
 }
 
-/// Model-check of the slot-dispatch protocol under perturbed thread
+/// Model-check of the item-dispatch protocol under perturbed thread
 /// schedules: `cargo test -p sdp-gp --features loom-check`.
 ///
-/// [`Executor::map`] is built on three claims: (1) job indices claimed
-/// via `fetch_add` are unique tickets, so the raw-pointer slot writes are
-/// disjoint; (2) the latch's mutex — not `join` — is what makes those
-/// writes visible to the caller; (3) the panic path's `store(n)` halts
-/// peers without double-claiming. This module re-implements exactly that
+/// [`Executor::for_each_mut`] — and [`Executor::map`], which is the same
+/// protocol over one result slot per job — is built on three claims:
+/// (1) job indices claimed via `fetch_add` are unique tickets, so the
+/// `&mut` items handed out through the raw pointer are disjoint; (2) the
+/// latch's mutex — not `join` — is what makes the jobs' in-place writes
+/// visible to the caller; (3) the panic path's `store(n)` halts peers
+/// without double-claiming. This module re-implements exactly that
 /// protocol on `loom` primitives so the model runtime can drive it
-/// through many schedules; the assertions fail on any lost or duplicated
-/// slot write.
+/// through many schedules; the assertions fail on any lost, duplicated
+/// or unordered item write.
 #[cfg(all(test, feature = "loom-check"))]
 mod loom_check {
     use loom::sync::atomic::{AtomicUsize, Ordering};
     use loom::sync::{Arc, Condvar, Mutex};
     use loom::thread;
 
-    /// Mirror of [`super::SlotsPtr`] for loom-scheduled threads.
-    struct SlotsPtr(*mut Option<usize>);
+    /// Mirror of [`super::ItemsPtr`] for loom-scheduled threads.
+    struct ItemsPtr<T>(*mut T);
 
-    // SAFETY: as in production, every index is written by exactly one
+    // SAFETY: as in production, every index is reached by exactly one
     // thread — claims are unique `fetch_add` tickets (asserted below).
-    unsafe impl Send for SlotsPtr {}
+    unsafe impl<T: Send> Send for ItemsPtr<T> {}
     // SAFETY: as for `Send`: shared references only hand out the pointer.
-    unsafe impl Sync for SlotsPtr {}
+    unsafe impl<T: Send> Sync for ItemsPtr<T> {}
 
-    /// The shared state of one `map` call: slots, the claim counter, and
-    /// the latch. `writes[i]` counts stores into slot `i` so the test can
-    /// prove exclusivity, which the production code only claims.
-    struct Proto {
-        slots: SlotsPtr,
-        writes: Vec<AtomicUsize>,
+    /// The shared state of one `for_each_mut` call: items, the claim
+    /// counter, and the latch. `touches[i]` counts jobs run on item `i`
+    /// so the test can prove exclusivity, which the production code only
+    /// claims.
+    struct Proto<T> {
+        items: ItemsPtr<T>,
+        job: fn(usize, &mut T),
+        touches: Vec<AtomicUsize>,
         n: usize,
         next: AtomicUsize,
         remaining: Mutex<usize>,
         done: Condvar,
     }
 
-    /// The model's job body: a pure function of the index.
-    fn job(i: usize) -> usize {
-        i * i + 1
-    }
-
     /// Mirror of [`super::drain`]'s happy path.
-    fn drain(p: &Proto) {
+    fn drain<T>(p: &Proto<T>) {
         loop {
             let i = p.next.fetch_add(1, Ordering::Relaxed);
             if i >= p.n {
                 return;
             }
             // SAFETY: `i` is a unique ticket below `n`, so no other
-            // thread writes this slot; the buffer holds `n` slots.
-            unsafe { *p.slots.0.add(i) = Some(job(i)) };
-            p.writes[i].fetch_add(1, Ordering::Relaxed);
+            // thread holds this item; the buffer holds `n` items.
+            (p.job)(i, unsafe { &mut *p.items.0.add(i) });
+            p.touches[i].fetch_add(1, Ordering::Relaxed);
         }
     }
 
     /// Mirror of [`super::Latch::count_down`].
-    fn count_down(p: &Proto) {
+    fn count_down<T>(p: &Proto<T>) {
         let mut left = p.remaining.lock().expect("latch poisoned");
         *left -= 1;
         if *left == 0 {
@@ -525,50 +575,74 @@ mod loom_check {
     }
 
     /// Mirror of [`super::Latch::wait`].
-    fn wait(p: &Proto) {
+    fn wait<T>(p: &Proto<T>) {
         let mut left = p.remaining.lock().expect("latch poisoned");
         while *left > 0 {
             left = p.done.wait(left).expect("latch poisoned");
         }
     }
 
-    #[test]
-    fn slot_writes_are_exclusive_and_complete() {
-        loom::model(|| {
-            const JOBS: usize = 5;
-            const HELPERS: usize = 2;
-            let mut slots: Box<[Option<usize>]> = vec![None; JOBS].into_boxed_slice();
-            let proto = Arc::new(Proto {
-                slots: SlotsPtr(slots.as_mut_ptr()),
-                writes: (0..JOBS).map(|_| AtomicUsize::new(0)).collect(),
-                n: JOBS,
-                next: AtomicUsize::new(0),
-                remaining: Mutex::new(HELPERS),
-                done: Condvar::new(),
-            });
-            let handles: Vec<_> = (0..HELPERS)
-                .map(|_| {
-                    let p = Arc::clone(&proto);
-                    thread::spawn(move || {
-                        drain(&p);
-                        count_down(&p);
-                    })
+    /// Runs `job` over `items` with two helpers and the caller, then
+    /// checks every item against `expect` *before* joining the helpers:
+    /// the latch alone must order their writes.
+    fn dispatch<T>(items: &mut [T], job: fn(usize, &mut T), expect: impl Fn(usize, &T) -> bool)
+    where
+        T: Send + 'static,
+    {
+        const HELPERS: usize = 2;
+        let n = items.len();
+        let proto = Arc::new(Proto {
+            items: ItemsPtr(items.as_mut_ptr()),
+            job,
+            touches: (0..n).map(|_| AtomicUsize::new(0)).collect(),
+            n,
+            next: AtomicUsize::new(0),
+            remaining: Mutex::new(HELPERS),
+            done: Condvar::new(),
+        });
+        let handles: Vec<_> = (0..HELPERS)
+            .map(|_| {
+                let p = Arc::clone(&proto);
+                thread::spawn(move || {
+                    drain(&p);
+                    count_down(&p);
                 })
-                .collect();
-            // The caller participates, then blocks on the latch. All
-            // exclusivity checks run after `wait` but *before* `join`:
-            // the latch alone must order the helpers' writes.
-            drain(&proto);
-            wait(&proto);
-            for (i, w) in proto.writes.iter().enumerate() {
-                assert_eq!(w.load(Ordering::Relaxed), 1, "slot {i} written once");
-            }
-            for h in handles {
-                h.join().expect("helper panicked");
-            }
-            for (i, s) in slots.iter().enumerate() {
-                assert_eq!(*s, Some(job(i)), "slot {i} holds its job's result");
-            }
+            })
+            .collect();
+        drain(&proto);
+        wait(&proto);
+        for (i, t) in proto.touches.iter().enumerate() {
+            assert_eq!(t.load(Ordering::Relaxed), 1, "item {i} handed out once");
+        }
+        for (i, item) in items.iter().enumerate() {
+            assert!(expect(i, item), "item {i} holds its job's write");
+        }
+        for h in handles {
+            h.join().expect("helper panicked");
+        }
+    }
+
+    #[test]
+    fn in_place_writes_are_exclusive_and_complete() {
+        // Each job reads its item's prior value and overwrites it, as the
+        // density kernel's band and chunk jobs do: a lost or repeated
+        // job leaves a value the check rejects.
+        loom::model(|| {
+            let mut items: Vec<usize> = (0..5).map(|i| 10 * i).collect();
+            dispatch(&mut items, |i, x| *x = *x * 3 + i, |i, &x| x == 30 * i + i);
+        });
+    }
+
+    #[test]
+    fn map_slots_are_filled_exactly_once() {
+        // `map` is the same protocol over `Option` result slots.
+        loom::model(|| {
+            let mut slots: Vec<Option<usize>> = vec![None; 5];
+            dispatch(
+                &mut slots,
+                |i, s| *s = Some(i * i + 1),
+                |i, s| *s == Some(i * i + 1),
+            );
         });
     }
 

@@ -52,7 +52,7 @@ pub mod placer;
 pub mod wirelength;
 
 pub use density::DensityModel;
-pub use exec::Executor;
+pub use exec::{Executor, MAX_THREADS};
 pub use nesterov::{minimize_nesterov, NesterovOptions, Objective, SolveResult};
 pub use placer::{ExtraTerm, GlobalPlacer, GpConfig, IterationTrace, PlaceStats};
 pub use wirelength::{eval_wirelength_with, hpwl, WirelengthModel};

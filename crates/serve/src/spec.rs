@@ -10,7 +10,7 @@
 //! the netlist reader's own [`sdp_netlist::ParseError`] rendering, never
 //! an asynchronous job failure).
 
-use sdp_core::{FlowConfig, LegalizerKind};
+use sdp_core::{FlowConfig, LegalizerKind, MAX_THREADS};
 use sdp_dpgen::GenConfig;
 use sdp_json::Json;
 use sdp_netlist::BookshelfCase;
@@ -289,7 +289,16 @@ fn parse_flow(flow: Option<&Json>) -> Result<FlowConfig, SpecError> {
         cfg.gp.seed = seed;
     }
     if let Some(threads) = get_u64("threads")? {
-        cfg.gp.threads = threads as usize;
+        // Each GP run spawns its kernel threads up front, so the count is
+        // capped here rather than left to fail at spawn time.
+        cfg.gp.threads = usize::try_from(threads)
+            .ok()
+            .filter(|&t| t <= MAX_THREADS)
+            .ok_or_else(|| {
+                SpecError(format!(
+                    "`threads` must be in 0..={MAX_THREADS} (0 = all cores)"
+                ))
+            })?;
     }
     if let Some(passes) = get_u64("detailed_passes")? {
         cfg.detailed_passes = passes as usize;
@@ -363,6 +372,27 @@ mod tests {
             r#"{"design": {"preset": "dp_tiny"}, "flow": {"mode": 1}}"#,
         ] {
             assert!(parse_spec(bad).is_err(), "must reject {bad}");
+        }
+    }
+
+    #[test]
+    fn thread_counts_above_the_cap_are_rejected() {
+        let spec = |threads: u64| {
+            parse_spec(&format!(
+                r#"{{"design": {{"preset": "dp_tiny"}}, "flow": {{"threads": {threads}}}}}"#
+            ))
+        };
+        assert_eq!(
+            spec(MAX_THREADS as u64).unwrap().flow.gp.threads,
+            MAX_THREADS
+        );
+        for threads in [MAX_THREADS as u64 + 1, 1_000_000, 1 << 40] {
+            let err = spec(threads).unwrap_err();
+            assert!(
+                err.0.contains(&format!("0..={MAX_THREADS}")),
+                "{threads}: error names the range: {}",
+                err.0
+            );
         }
     }
 

@@ -613,6 +613,20 @@ fn deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
 }
 
 #[test]
+fn absurd_thread_count_is_a_400_and_the_server_keeps_serving() {
+    // A million kernel threads would make the job's GP run try to spawn
+    // them all; the spec is refused before anything is queued.
+    let server = start(1, 2);
+    let port = server.port();
+    let spec = r#"{"design": {"preset": "dp_tiny"}, "flow": {"threads": 1000000}}"#;
+    let (status, body) = request(port, "POST", "/jobs", spec).unwrap();
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("`threads` must be in 0..=256"), "{body}");
+    let (status, body) = request(port, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, r#"{"status":"ok"}"#));
+}
+
+#[test]
 fn malformed_route_mode_is_a_structured_400() {
     let server = start(0, 2);
     let port = server.port();
