@@ -202,9 +202,8 @@ fn gen_rejects_bad_input() {
 }
 
 /// Generates a tiny bundle under `tests/<name>/`, applies `corrupt` to
-/// the file with extension `ext`, and returns the CLI's output for
-/// `eval` on the damaged bundle.
-fn eval_corrupted(name: &str, ext: &str, corrupt: impl Fn(&str) -> String) -> Output {
+/// the file with extension `ext`, and returns the damaged bundle's `.aux`.
+fn corrupted_bundle(name: &str, ext: &str, corrupt: impl Fn(&str) -> String) -> String {
     let prefix = tmp(&format!("{name}/case"));
     let prefix_s = prefix.to_str().expect("utf-8 tmp path");
     let out = sdplace(&["gen", "dp_tiny", "--seed", "3", "--out", prefix_s]);
@@ -216,7 +215,12 @@ fn eval_corrupted(name: &str, ext: &str, corrupt: impl Fn(&str) -> String) -> Ou
     let victim = format!("{prefix_s}.{ext}");
     let text = std::fs::read_to_string(&victim).expect("generated file");
     std::fs::write(&victim, corrupt(&text)).expect("rewrite");
-    sdplace(&["eval", &format!("{prefix_s}.aux")])
+    format!("{prefix_s}.aux")
+}
+
+/// The CLI's output for `eval` on a bundle damaged by `corrupt`.
+fn eval_corrupted(name: &str, ext: &str, corrupt: impl Fn(&str) -> String) -> Output {
+    sdplace(&["eval", &corrupted_bundle(name, ext, corrupt)])
 }
 
 /// A malformed input must surface as a one-line typed error naming the
@@ -270,6 +274,102 @@ fn corrupt_nets_degree_is_a_clean_error() {
         text.replacen("NetDegree : 3", "NetDegree : many", 1)
     });
     assert_clean_parse_error(&out, ".nets");
+}
+
+/// Numbers that parse but lie outside their field's range, a row without
+/// a height, and a net degree no allocator can reserve. Each of these
+/// once reached the placer and panicked (`inverted rect`, exit 101) or
+/// aborted; now each is a located one-line error, exit 1.
+#[test]
+fn out_of_range_numbers_are_clean_errors() {
+    // (member, text, replacement, what the error says)
+    let probes = [
+        (
+            "nodes",
+            "dp_tiny_0 2 1",
+            "dp_tiny_0 NaN 1",
+            "width `NaN` is outside (0, 1e9]",
+        ),
+        (
+            "nodes",
+            "dp_tiny_0 2 1",
+            "dp_tiny_0 inf 1",
+            "width `inf` is outside",
+        ),
+        (
+            "nodes",
+            "dp_tiny_0 2 1",
+            "dp_tiny_0 1e300 1",
+            "width `1e300` is outside",
+        ),
+        (
+            "nodes",
+            "dp_tiny_0 2 1",
+            "dp_tiny_0 -3 1",
+            "width `-3` is outside",
+        ),
+        (
+            "nodes",
+            "dp_tiny_0 2 1",
+            "dp_tiny_0 0 0",
+            "width `0` is outside",
+        ),
+        (
+            "scl",
+            "Coordinate : 0",
+            "Coordinate : NaN",
+            "Coordinate `NaN` is outside [-1e9, 1e9]",
+        ),
+        (
+            "scl",
+            "Coordinate : 0",
+            "Coordinate : 1e300",
+            "Coordinate `1e300` is outside",
+        ),
+        (
+            "scl",
+            "Height : 1",
+            "Height : 0",
+            "Height `0` is outside (0, 1e9]",
+        ),
+        ("scl", "Height : 1", "Height : -1", "Height `-1` is outside"),
+        ("scl", "  Height : 1\n", "", "missing `Height`"),
+        (
+            "pl",
+            "pi_clk -2.500000 -2.500000",
+            "pi_clk NaN NaN",
+            "x coordinate `NaN` is outside",
+        ),
+        (
+            "wts",
+            "w1 1\n",
+            "w1 inf\n",
+            "weight `inf` is outside [0, 1e9]",
+        ),
+        (
+            "nets",
+            "pi_tie0 O : 0.000000",
+            "pi_tie0 O : NaN",
+            "pin offset `NaN` is outside",
+        ),
+        (
+            "nets",
+            "NetDegree : 3 w1",
+            "NetDegree : 99999999999999999 w1",
+            "unknown cell",
+        ),
+    ];
+    for (i, (ext, from, to, says)) in probes.into_iter().enumerate() {
+        let aux = corrupted_bundle(&format!("range_{i}"), ext, |text| {
+            assert!(text.contains(from), "`{from}` not in .{ext}");
+            text.replacen(from, to, 1)
+        });
+        let out = sdplace(&["place", &aux, "--fast"]);
+        assert_eq!(out.status.code(), Some(1), ".{ext} with `{to}`");
+        assert_clean_parse_error(&out, &format!(".{ext}"));
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(says), ".{ext} with `{to}`: {err}");
+    }
 }
 
 #[test]

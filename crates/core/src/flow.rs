@@ -55,6 +55,12 @@ impl FlowMode {
     }
 }
 
+/// The largest accepted [`FlowConfig::dp_net_weight`] (the default is 2).
+/// Near `f64::MAX` the boosted weights overflow the GP objective and the
+/// flow cannot produce a placement; the cap keeps every accepted weight
+/// hundreds of orders of magnitude below that.
+pub const MAX_DP_NET_WEIGHT: f64 = 1e3;
+
 /// Configuration of the whole flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
@@ -80,7 +86,8 @@ pub struct FlowConfig {
     /// Weight multiplier applied (during global placement only) to nets
     /// with at least two pins inside one datapath group — the placer
     /// focuses on exactly the nets structure-aware placement targets.
-    /// Evaluation always uses the original weights.
+    /// Evaluation always uses the original weights. Range:
+    /// `1..=`[`MAX_DP_NET_WEIGHT`].
     pub dp_net_weight: f64,
     /// Extra alignment-refinement outer iterations run after the main
     /// global placement converges: density pressure is already satisfied,

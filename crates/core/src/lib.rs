@@ -44,6 +44,7 @@ pub mod flow;
 pub use align::{AlignConfig, AlignTerm};
 pub use flow::{
     FlowConfig, FlowMode, FlowOutput, FlowReport, LegalizerKind, PhaseTimes, StructurePlacer,
+    MAX_DP_NET_WEIGHT,
 };
 // Re-exported so downstream crates (serve, bench) can name every type
 // that appears in `FlowConfig` — the serve crate canonicalizes the full

@@ -12,6 +12,11 @@
 //! Reading produces a [`BookshelfCase`]; writing emits a complete bundle so
 //! designs generated by `sdp-dpgen` can be consumed by external tools (and
 //! round-tripped in tests).
+//!
+//! Every number the reader accepts is finite and inside its field's range
+//! (see [`MAX_MAGNITUDE`]); anything else is a located
+//! [`ParseError::OutOfRange`], so no placement stage ever sees a NaN, an
+//! infinity or a non-positive size.
 
 use crate::{
     Design, Netlist, NetlistBuilder, NetlistError, ParseError, ParseLoc, PinDir, Placement, Row,
@@ -41,9 +46,58 @@ fn floc(file: &Path, line: usize, col: usize) -> ParseLoc {
     }
 }
 
-/// 1-based column of `tok` within the line's content (0 if absent).
+/// 1-based column of `tok`, a slice of `line`, within the line's content
+/// (0 if `tok` is not one). Slice offsets keep repeated text apart: the
+/// height in `a 0 0` is column 5, not 3.
 fn col_of(line: &str, tok: &str) -> usize {
-    line.find(tok).map_or(0, |i| i + 1)
+    let offset = (tok.as_ptr() as usize).wrapping_sub(line.as_ptr() as usize);
+    if offset < line.len() {
+        offset + 1
+    } else {
+        0
+    }
+}
+
+/// The largest magnitude any Bookshelf number may have: sizes, coordinates,
+/// pin offsets, site counts and net weights. It leaves room for dies far
+/// larger than any generated preset, while sums and products of a few
+/// such fields stay far from `f64::MAX`.
+const MAX_MAGNITUDE: f64 = 1e9;
+
+/// The documented range of a numeric field. Every range is finite.
+#[derive(Debug, Clone, Copy)]
+enum Range {
+    /// Cell sizes, row heights and site widths: `(0, MAX_MAGNITUDE]`.
+    Size,
+    /// Site counts: `[1, MAX_MAGNITUDE]`.
+    Count,
+    /// Net weights: `[0, MAX_MAGNITUDE]`.
+    Weight,
+    /// Coordinates and pin offsets: `[-MAX_MAGNITUDE, MAX_MAGNITUDE]`.
+    Coordinate,
+}
+
+impl Range {
+    /// Whether `v` lies in the range; NaN never does.
+    fn contains(self, v: f64) -> bool {
+        let above_floor = match self {
+            Range::Size => v > 0.0,
+            Range::Count => v >= 1.0,
+            Range::Weight => v >= 0.0,
+            Range::Coordinate => v >= -MAX_MAGNITUDE,
+        };
+        above_floor && v <= MAX_MAGNITUDE
+    }
+
+    fn describe(self) -> String {
+        let max = MAX_MAGNITUDE;
+        match self {
+            Range::Size => format!("(0, {max:e}]"),
+            Range::Count => format!("[1, {max:e}]"),
+            Range::Weight => format!("[0, {max:e}]"),
+            Range::Coordinate => format!("[-{max:e}, {max:e}]"),
+        }
+    }
 }
 
 /// Parses `tok` as a number, reporting the token and its column on failure.
@@ -59,6 +113,28 @@ fn num<T: std::str::FromStr>(
         what: what.into(),
         token: tok.to_string(),
     })
+}
+
+/// Parses `tok` as an `f64` field that must lie in `range`.
+fn field(
+    file: &Path,
+    ln: usize,
+    line: &str,
+    tok: &str,
+    what: &str,
+    range: Range,
+) -> Result<f64, ParseError> {
+    let v: f64 = num(file, ln, line, tok, what)?;
+    if range.contains(v) {
+        Ok(v)
+    } else {
+        Err(ParseError::OutOfRange {
+            loc: floc(file, ln, col_of(line, tok)),
+            what: what.into(),
+            token: tok.to_string(),
+            range: range.describe(),
+        })
+    }
 }
 
 fn expected(file: &Path, ln: usize, line: &str, wanted: &str) -> ParseError {
@@ -100,7 +176,8 @@ fn keyed<'a>(line: &'a str, key: &str) -> Option<&'a str> {
 /// # Errors
 ///
 /// Returns [`NetlistError::Io`] if a file is missing and
-/// [`NetlistError::Parse`] on malformed content. The `.wts` file is
+/// [`NetlistError::Parse`] on malformed content, including a number
+/// outside its field's range. The `.wts` file is
 /// optional; all weights default to 1.0 without it.
 pub fn read_bookshelf(aux_path: impl AsRef<Path>) -> Result<BookshelfCase, NetlistError> {
     let aux_path = aux_path.as_ref();
@@ -162,8 +239,8 @@ fn read_nodes_and_nets(
         let [name, w_tok, h_tok, rest @ ..] = toks.as_slice() else {
             return Err(expected(nodes_path, ln, line, "`name width height`").into());
         };
-        let w: f64 = num(nodes_path, ln, line, w_tok, "width")?;
-        let h: f64 = num(nodes_path, ln, line, h_tok, "height")?;
+        let w = field(nodes_path, ln, line, w_tok, "width", Range::Size)?;
+        let h = field(nodes_path, ln, line, h_tok, "height", Range::Size)?;
         let terminal = rest
             .first()
             .is_some_and(|t| t.eq_ignore_ascii_case("terminal"));
@@ -185,7 +262,7 @@ fn read_nodes_and_nets(
             for (ln, line) in content_lines(&text) {
                 let toks: Vec<&str> = line.split_whitespace().collect();
                 if let [name, w_tok, ..] = toks.as_slice() {
-                    let w: f64 = num(wp, ln, line, w_tok, "weight")?;
+                    let w = field(wp, ln, line, w_tok, "weight", Range::Weight)?;
                     weights.insert(name.to_string(), w);
                 }
             }
@@ -212,7 +289,9 @@ fn read_nodes_and_nets(
             .map(str::to_string)
             .unwrap_or_else(|| format!("net{net_counter}"));
         net_counter += 1;
-        let mut conns = Vec::with_capacity(degree);
+        // No reservation from `degree`: a huge declared degree must end
+        // as a truncation error, not an allocation failure.
+        let mut conns = Vec::new();
         for _ in 0..degree {
             let (pln, pline) = lines.next().ok_or_else(|| ParseError::Truncated {
                 loc: floc(nets_path, ln, 0),
@@ -238,10 +317,10 @@ fn read_nodes_and_nets(
             let mut dy = 0.0;
             if let Some(colon) = opts.iter().position(|&t| t == ":") {
                 if let Some(t) = opts.get(colon + 1) {
-                    dx = num(nets_path, pln, pline, t, "pin offset")?;
+                    dx = field(nets_path, pln, pline, t, "pin offset", Range::Coordinate)?;
                 }
                 if let Some(t) = opts.get(colon + 2) {
-                    dy = num(nets_path, pln, pline, t, "pin offset")?;
+                    dy = field(nets_path, pln, pline, t, "pin offset", Range::Coordinate)?;
                 }
             }
             conns.push((cell, Point::new(dx, dy), dir));
@@ -256,18 +335,24 @@ fn read_nodes_and_nets(
 fn read_scl(path: &Path) -> Result<Design, NetlistError> {
     let text = fs::read_to_string(path)?;
     let mut rows = Vec::new();
-    let mut cur: Option<(f64, f64, f64, f64, f64)> = None; // y, h, sitew, origin, num_sites
+    // y, height, site width, origin, site count
+    let mut cur: Option<(f64, Option<f64>, f64, f64, f64)> = None;
     for (ln, line) in content_lines(&text) {
         if keyed(line, "NumRows").is_some() {
             continue;
         }
         if line.starts_with("CoreRow") {
-            cur = Some((0.0, 0.0, 1.0, 0.0, 0.0));
+            cur = Some((0.0, None, 1.0, 0.0, 0.0));
         } else if line == "End" {
             let (y, h, sw, ox, ns) = cur.take().ok_or_else(|| ParseError::Expected {
                 loc: floc(path, ln, 1),
                 wanted: "`CoreRow` before `End`".into(),
                 found: "End".into(),
+            })?;
+            // A row's height has no default: without one it has no extent.
+            let h = h.ok_or_else(|| ParseError::Missing {
+                loc: floc(path, ln, 1),
+                what: "`Height` in the `CoreRow` ending here".into(),
             })?;
             rows.push(Row {
                 y,
@@ -278,23 +363,30 @@ fn read_scl(path: &Path) -> Result<Design, NetlistError> {
             });
         } else if let Some(c) = cur.as_mut() {
             if let Some(v) = keyed(line, "Coordinate") {
-                c.0 = num(path, ln, line, v, "Coordinate")?;
+                c.0 = field(path, ln, line, v, "Coordinate", Range::Coordinate)?;
             } else if let Some(v) = keyed(line, "Height") {
-                c.1 = num(path, ln, line, v, "Height")?;
+                c.1 = Some(field(path, ln, line, v, "Height", Range::Size)?);
             } else if let Some(v) = keyed(line, "Sitewidth") {
-                c.2 = num(path, ln, line, v, "Sitewidth")?;
+                c.2 = field(path, ln, line, v, "Sitewidth", Range::Size)?;
             } else if let Some(v) = keyed(line, "SubrowOrigin") {
                 // `SubrowOrigin : 0 NumSites : 100`
                 let toks: Vec<&str> = v.split_whitespace().collect();
                 let origin_tok = toks
                     .first()
                     .ok_or_else(|| expected(path, ln, line, "`SubrowOrigin : x`"))?;
-                c.3 = num(path, ln, line, origin_tok, "SubrowOrigin")?;
+                c.3 = field(
+                    path,
+                    ln,
+                    line,
+                    origin_tok,
+                    "SubrowOrigin",
+                    Range::Coordinate,
+                )?;
                 if let Some(npos) = toks.iter().position(|&t| t == "NumSites") {
                     let sites_tok = toks
                         .get(npos + 2)
                         .ok_or_else(|| expected(path, ln, line, "`NumSites : n`"))?;
-                    c.4 = num(path, ln, line, sites_tok, "NumSites")?;
+                    c.4 = field(path, ln, line, sites_tok, "NumSites", Range::Count)?;
                 }
             }
             // Sitespacing / Siteorient / Sitesymmetry tolerated and ignored.
@@ -331,8 +423,8 @@ fn read_pl(
             }
             .into());
         };
-        let x: f64 = num(path, ln, line, x_tok, "x coordinate")?;
-        let y: f64 = num(path, ln, line, y_tok, "y coordinate")?;
+        let x = field(path, ln, line, x_tok, "x coordinate", Range::Coordinate)?;
+        let y = field(path, ln, line, y_tok, "y coordinate", Range::Coordinate)?;
         // .pl stores the lower-left corner; we store centres.
         let m = netlist.master_of(cell);
         pl.set(cell, Point::new(x + m.width / 2.0, y + m.height / 2.0));
@@ -524,6 +616,87 @@ mod tests {
         // Fixed flag survives via `terminal`.
         let pad = case.netlist.cell_by_name("pad0").unwrap();
         assert!(case.netlist.cell(pad).fixed);
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_located_parse_errors() {
+        let (nl, design, pl) = sample_case();
+        let dir = std::env::temp_dir().join("sdp_bookshelf_range");
+        let aux = write_bookshelf(&dir, "case", &nl, &design, &pl).unwrap();
+        let member = |ext: &str| dir.join(format!("case.{ext}"));
+        let originals: Vec<(&str, String)> = ["nodes", "nets", "wts", "pl", "scl"]
+            .into_iter()
+            .map(|ext| (ext, fs::read_to_string(member(ext)).unwrap()))
+            .collect();
+        let read_with = |ext: &str, from: &str, to: &str| {
+            for (e, text) in &originals {
+                let text = if *e == ext {
+                    assert!(text.contains(from), "`{from}` not in .{ext}");
+                    text.replacen(from, to, 1)
+                } else {
+                    text.clone()
+                };
+                fs::write(member(e), text).unwrap();
+            }
+            read_bookshelf(&aux)
+        };
+        // (member, text, replacement, the field the error names)
+        let probes = [
+            ("nodes", "u0 2 1", "u0 NaN 1", "width"),
+            ("nodes", "u0 2 1", "u0 inf 1", "width"),
+            ("nodes", "u0 2 1", "u0 -3 1", "width"),
+            ("nodes", "u0 2 1", "u0 1e300 1", "width"),
+            ("nodes", "u0 2 1", "u0 2 2e9", "height"),
+            ("wts", "n1 2.5", "n1 inf", "weight"),
+            ("wts", "n1 2.5", "n1 -1", "weight"),
+            ("nets", "u0 I : -0.500000", "u0 I : NaN", "pin offset"),
+            ("pl", "pad0 0.000000", "pad0 NaN", "x coordinate"),
+            (
+                "pl",
+                "4.000000 : N /FIXED",
+                "-2e9 : N /FIXED",
+                "y coordinate",
+            ),
+            ("scl", "Coordinate : 0", "Coordinate : 1e300", "Coordinate"),
+            ("scl", "Height : 1", "Height : 0", "Height"),
+            ("scl", "Sitewidth : 1", "Sitewidth : -1", "Sitewidth"),
+            (
+                "scl",
+                "SubrowOrigin : 0",
+                "SubrowOrigin : NaN",
+                "SubrowOrigin",
+            ),
+            ("scl", "NumSites : 20", "NumSites : 0", "NumSites"),
+        ];
+        for (ext, from, to, field) in probes {
+            match read_with(ext, from, to) {
+                Err(NetlistError::Parse(ParseError::OutOfRange {
+                    loc, what, token, ..
+                })) => {
+                    assert_eq!(what, field, "{ext}: `{to}`");
+                    assert!(loc.line > 0 && loc.col > 0, "{ext}: `{to}` at {loc}");
+                    assert!(to.contains(&token), "{ext}: `{to}` names `{token}`");
+                }
+                other => panic!(".{ext} with `{to}`: expected OutOfRange, got {other:?}"),
+            }
+        }
+        // A row with no `Height` line is missing one, not zero high.
+        let r = read_with("scl", "  Height : 1\n", "");
+        assert!(
+            matches!(r, Err(NetlistError::Parse(ParseError::Missing { .. }))),
+            "{r:?}"
+        );
+        // The ends of every range are inside it.
+        for (ext, from, to) in [
+            ("nodes", "u0 2 1", "u0 1e9 1"),
+            ("wts", "n1 2.5", "n1 0"),
+            ("pl", "pad0 0.000000", "pad0 -1e9"),
+            ("scl", "NumSites : 20", "NumSites : 1"),
+        ] {
+            let r = read_with(ext, from, to);
+            assert!(r.is_ok(), ".{ext} with `{to}`: {:?}", r.err());
+        }
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

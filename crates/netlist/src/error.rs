@@ -48,6 +48,17 @@ pub enum ParseError {
         /// The token that failed to parse.
         token: String,
     },
+    /// A number parsed but lies outside its field's documented range.
+    OutOfRange {
+        /// Location of the problem.
+        loc: ParseLoc,
+        /// What the number describes (`width`, `Coordinate`, …).
+        what: String,
+        /// The offending token.
+        token: String,
+        /// The accepted range, e.g. `(0, 1e9]`.
+        range: String,
+    },
     /// A net or row body ended before its declared contents.
     Truncated {
         /// Location of the problem.
@@ -77,6 +88,7 @@ impl ParseError {
         match self {
             ParseError::Expected { loc, .. }
             | ParseError::BadNumber { loc, .. }
+            | ParseError::OutOfRange { loc, .. }
             | ParseError::Truncated { loc, .. }
             | ParseError::UnknownCell { loc, .. }
             | ParseError::Missing { loc, .. } => loc,
@@ -87,7 +99,9 @@ impl ParseError {
     pub fn token(&self) -> Option<&str> {
         match self {
             ParseError::Expected { found, .. } if !found.is_empty() => Some(found),
-            ParseError::BadNumber { token, .. } => Some(token),
+            ParseError::BadNumber { token, .. } | ParseError::OutOfRange { token, .. } => {
+                Some(token)
+            }
             ParseError::UnknownCell { name, .. } => Some(name),
             _ => None,
         }
@@ -107,6 +121,12 @@ impl fmt::Display for ParseError {
             ParseError::BadNumber { loc, what, token } => {
                 write!(f, "{loc}: bad {what} `{token}`")
             }
+            ParseError::OutOfRange {
+                loc,
+                what,
+                token,
+                range,
+            } => write!(f, "{loc}: {what} `{token}` is outside {range}"),
             ParseError::Truncated { loc, what } => write!(f, "{loc}: truncated {what}"),
             ParseError::UnknownCell { loc, name } => {
                 write!(f, "{loc}: unknown cell `{name}`")
@@ -208,6 +228,18 @@ mod tests {
             token: "wat".into(),
         });
         assert_eq!(p.to_string(), "parse error in a.nodes:7:4: bad width `wat`");
+
+        let r = ParseError::OutOfRange {
+            loc: loc(5, 14),
+            what: "width".into(),
+            token: "NaN".into(),
+            range: "(0, 1e9]".into(),
+        };
+        assert_eq!(
+            r.to_string(),
+            "a.nodes:5:14: width `NaN` is outside (0, 1e9]"
+        );
+        assert_eq!(r.token(), Some("NaN"));
 
         let e = ParseError::Expected {
             loc: loc(3, 1),

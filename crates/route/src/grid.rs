@@ -127,8 +127,7 @@ impl RoutingGrid {
     pub fn total_overflow(&self) -> (u64, usize) {
         let mut total = 0u64;
         let mut edges = 0usize;
-        for (i, &u) in self.h_usage.iter().enumerate() {
-            let _ = i;
+        for &u in &self.h_usage {
             if u > self.h_cap {
                 total += (u - self.h_cap) as u64;
                 edges += 1;

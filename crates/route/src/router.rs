@@ -1,5 +1,6 @@
 //! Net decomposition, L-pattern routing, and negotiated-congestion rip-up
-//! & reroute (a compact PathFinder).
+//! & reroute (a compact PathFinder) whose maze search is A* toward the
+//! segment's far end.
 
 use crate::grid::{Dir, RoutingGrid};
 use sdp_geom::Point;
@@ -21,10 +22,6 @@ pub struct RouteConfig {
     pub tracks_per_gcell: u32,
     /// Maximum rip-up & reroute iterations.
     pub rrr_iters: usize,
-    /// Congestion penalty multiplier per unit of overflow.
-    pub congestion_penalty: f64,
-    /// History cost increment per overflowed edge per iteration.
-    pub history_increment: f64,
 }
 
 impl Default for RouteConfig {
@@ -33,8 +30,6 @@ impl Default for RouteConfig {
             grid: None,
             tracks_per_gcell: 12,
             rrr_iters: 8,
-            congestion_penalty: 2.0,
-            history_increment: 0.5,
         }
     }
 }
@@ -144,7 +139,7 @@ pub fn route_observed(
         if i % CHECKPOINT_STRIDE == 0 {
             obs.checkpoint()?;
         }
-        let path = best_l_path(seg.a, seg.b, &grid, config, &history);
+        let path = best_l_path(seg.a, seg.b, &grid, &history);
         commit(&mut grid, &path, 1);
         seg.path = path;
     }
@@ -169,14 +164,14 @@ pub fn route_observed(
         for y in 0..ny {
             for x in 0..nx.saturating_sub(1) {
                 if grid.edge_overflow(x, y, Dir::Horizontal) > 0 {
-                    history[h_hist(nx, x, y)] += config.history_increment;
+                    history[h_hist(nx, x, y)] += HISTORY_INCREMENT;
                 }
             }
         }
         for y in 0..ny.saturating_sub(1) {
             for x in 0..nx {
                 if grid.edge_overflow(x, y, Dir::Vertical) > 0 {
-                    history[v_hist(nx, ny, x, y)] += config.history_increment;
+                    history[v_hist(nx, ny, x, y)] += HISTORY_INCREMENT;
                 }
             }
         }
@@ -189,7 +184,7 @@ pub fn route_observed(
                 continue;
             }
             commit(&mut grid, &seg.path, -1);
-            let path = maze_route(seg.a, seg.b, &grid, config, &history);
+            let path = maze_route(seg.a, seg.b, &grid, &history);
             commit(&mut grid, &path, 1);
             seg.path = path;
         }
@@ -262,15 +257,19 @@ fn mst_edges(cells: &[(usize, usize)]) -> Vec<((usize, usize), (usize, usize))> 
     edges
 }
 
-/// Cost of pushing one more wire over the edge leaving `(x, y)` toward `d`.
-fn edge_cost(
-    grid: &RoutingGrid,
-    history: &[f64],
-    config: &RouteConfig,
-    x: usize,
-    y: usize,
-    d: Dir,
-) -> f64 {
+/// Congestion penalty multiplier per unit of overflow.
+const CONGESTION_PENALTY: f64 = 2.0;
+
+/// History cost added to an overflowed edge on each rip-up & reroute pass.
+const HISTORY_INCREMENT: f64 = 0.5;
+
+/// Cost of pushing one more wire over the edge leaving `(x, y)` toward `d`:
+/// `(1 + history)·(1 + CONGESTION_PENALTY·overflow)`.
+///
+/// Every edge costs at least 1, because history and overflow are never
+/// negative. [`maze_route`]'s A* heuristic relies on that bound. Every
+/// cost is also a multiple of 0.5, so path costs sum exactly.
+fn edge_cost(grid: &RoutingGrid, history: &[f64], x: usize, y: usize, d: Dir) -> f64 {
     let usage = grid.usage(x, y, d);
     let cap = grid.capacity(d);
     let hist = match d {
@@ -278,7 +277,7 @@ fn edge_cost(
         Dir::Vertical => history[v_hist(grid.nx(), grid.ny(), x, y)],
     };
     let over = (usage as i64 + 1 - cap as i64).max(0) as f64;
-    (1.0 + hist) * (1.0 + config.congestion_penalty * over)
+    (1.0 + hist) * (1.0 + CONGESTION_PENALTY * over)
 }
 
 /// The cheaper of the two L-shaped paths from `a` to `b`.
@@ -286,7 +285,6 @@ fn best_l_path(
     a: (usize, usize),
     b: (usize, usize),
     grid: &RoutingGrid,
-    config: &RouteConfig,
     history: &[f64],
 ) -> Vec<(usize, usize)> {
     let via_corner = |corner: (usize, usize)| -> (f64, Vec<(usize, usize)>) {
@@ -300,7 +298,7 @@ fn best_l_path(
                 } else {
                     (cur.0 - 1, -1)
                 };
-                cost += edge_cost(grid, history, config, x, cur.1, Dir::Horizontal);
+                cost += edge_cost(grid, history, x, cur.1, Dir::Horizontal);
                 cur.0 = (cur.0 as i64 + step) as usize;
                 path.push(cur);
             }
@@ -310,7 +308,7 @@ fn best_l_path(
                 } else {
                     (cur.1 - 1, -1)
                 };
-                cost += edge_cost(grid, history, config, cur.0, y, Dir::Vertical);
+                cost += edge_cost(grid, history, cur.0, y, Dir::Vertical);
                 cur.1 = (cur.1 as i64 + step) as usize;
                 path.push(cur);
             }
@@ -326,28 +324,40 @@ fn best_l_path(
     }
 }
 
-/// Dijkstra maze routing with congestion + history costs.
+/// A* maze routing with congestion + history costs.
+///
+/// The heuristic is the Manhattan gcell distance to `b`. Every edge costs
+/// at least 1 ([`edge_cost`]), so it never overestimates and is
+/// consistent: the first pop of `b` ends a cheapest path. The heap pops
+/// the least `g + h` first, ties by gcell `(x, y)`, so the path is the
+/// same on every run.
 fn maze_route(
     a: (usize, usize),
     b: (usize, usize),
     grid: &RoutingGrid,
-    config: &RouteConfig,
     history: &[f64],
 ) -> Vec<(usize, usize)> {
     let (nx, ny) = (grid.nx(), grid.ny());
     let ix = |c: (usize, usize)| c.1 * nx + c.0;
+    let h = |c: (usize, usize)| (c.0.abs_diff(b.0) + c.1.abs_diff(b.1)) as f64;
     let mut dist = vec![f64::INFINITY; nx * ny];
     let mut prev = vec![u32::MAX; nx * ny];
 
-    #[derive(PartialEq)]
-    struct Item(f64, (usize, usize));
+    /// A heap entry: `f = g + h`, the path cost `g`, and the gcell.
+    /// Ordered by `(f, gcell)` only.
+    struct Item(f64, f64, (usize, usize));
+    impl PartialEq for Item {
+        fn eq(&self, other: &Self) -> bool {
+            self.cmp(other).is_eq()
+        }
+    }
     impl Eq for Item {}
     impl Ord for Item {
         fn cmp(&self, other: &Self) -> std::cmp::Ordering {
             other
                 .0
                 .total_cmp(&self.0)
-                .then_with(|| (other.1).cmp(&self.1))
+                .then_with(|| (other.2).cmp(&self.2))
         }
     }
     impl PartialOrd for Item {
@@ -358,37 +368,37 @@ fn maze_route(
 
     let mut heap = BinaryHeap::new();
     dist[ix(a)] = 0.0;
-    heap.push(Item(0.0, a));
-    while let Some(Item(d, cur)) = heap.pop() {
+    heap.push(Item(h(a), 0.0, a));
+    while let Some(Item(_, g, cur)) = heap.pop() {
         if cur == b {
             break;
         }
-        if d > dist[ix(cur)] {
+        if g > dist[ix(cur)] {
             continue;
         }
         let (x, y) = cur;
         let mut relax = |nxt: (usize, usize), ecost: f64, heap: &mut BinaryHeap<Item>| {
-            let nd = d + ecost;
-            if nd < dist[ix(nxt)] {
-                dist[ix(nxt)] = nd;
+            let ng = g + ecost;
+            if ng < dist[ix(nxt)] {
+                dist[ix(nxt)] = ng;
                 prev[ix(nxt)] = ix(cur) as u32;
-                heap.push(Item(nd, nxt));
+                heap.push(Item(ng + h(nxt), ng, nxt));
             }
         };
         if x + 1 < nx {
-            let c = edge_cost(grid, history, config, x, y, Dir::Horizontal);
+            let c = edge_cost(grid, history, x, y, Dir::Horizontal);
             relax((x + 1, y), c, &mut heap);
         }
         if x > 0 {
-            let c = edge_cost(grid, history, config, x - 1, y, Dir::Horizontal);
+            let c = edge_cost(grid, history, x - 1, y, Dir::Horizontal);
             relax((x - 1, y), c, &mut heap);
         }
         if y + 1 < ny {
-            let c = edge_cost(grid, history, config, x, y, Dir::Vertical);
+            let c = edge_cost(grid, history, x, y, Dir::Vertical);
             relax((x, y + 1), c, &mut heap);
         }
         if y > 0 {
-            let c = edge_cost(grid, history, config, x, y - 1, Dir::Vertical);
+            let c = edge_cost(grid, history, x, y - 1, Dir::Vertical);
             relax((x, y - 1), c, &mut heap);
         }
     }
@@ -633,9 +643,8 @@ mod tests {
     #[test]
     fn l_path_is_monotone_and_connected() {
         let grid = RoutingGrid::new(sdp_geom::Rect::new(0.0, 0.0, 10.0, 10.0), 10, 10, 4, 4);
-        let cfg = RouteConfig::default();
         let hist = vec![0.0; 10 * 10 * 2];
-        let p = best_l_path((1, 1), (7, 5), &grid, &cfg, &hist);
+        let p = best_l_path((1, 1), (7, 5), &grid, &hist);
         assert_eq!(p.first(), Some(&(1, 1)));
         assert_eq!(p.last(), Some(&(7, 5)));
         assert_eq!(p.len(), 1 + 6 + 4);
@@ -652,15 +661,173 @@ mod tests {
         for x in 0..7 {
             grid.add_usage(x, 4, Dir::Horizontal, 2);
         }
-        let cfg = RouteConfig::default();
         let hist = vec![0.0; 8 * 8 * 2];
-        let p = maze_route((0, 4), (7, 4), &grid, &cfg, &hist);
+        let p = maze_route((0, 4), (7, 4), &grid, &hist);
         assert_eq!(p.first(), Some(&(0, 4)));
         assert_eq!(p.last(), Some(&(7, 4)));
         // The path must detour off row 4 somewhere.
         assert!(
             p.iter().any(|&(_, y)| y != 4),
             "maze route should detour around the saturated corridor: {p:?}"
+        );
+    }
+
+    /// Dijkstra maze routing: the search [`maze_route`] replaced with A*,
+    /// kept as the reference for its cost. Heap order is `(g, gcell)`.
+    fn reference_maze_route(
+        a: (usize, usize),
+        b: (usize, usize),
+        grid: &RoutingGrid,
+        history: &[f64],
+    ) -> Vec<(usize, usize)> {
+        let (nx, ny) = (grid.nx(), grid.ny());
+        let ix = |c: (usize, usize)| c.1 * nx + c.0;
+        let mut dist = vec![f64::INFINITY; nx * ny];
+        let mut prev = vec![u32::MAX; nx * ny];
+
+        #[derive(PartialEq)]
+        struct Item(f64, (usize, usize));
+        impl Eq for Item {}
+        impl Ord for Item {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                other
+                    .0
+                    .total_cmp(&self.0)
+                    .then_with(|| (other.1).cmp(&self.1))
+            }
+        }
+        impl PartialOrd for Item {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let mut heap = BinaryHeap::new();
+        dist[ix(a)] = 0.0;
+        heap.push(Item(0.0, a));
+        while let Some(Item(d, cur)) = heap.pop() {
+            if cur == b {
+                break;
+            }
+            if d > dist[ix(cur)] {
+                continue;
+            }
+            let (x, y) = cur;
+            let mut relax = |nxt: (usize, usize), ecost: f64, heap: &mut BinaryHeap<Item>| {
+                let nd = d + ecost;
+                if nd < dist[ix(nxt)] {
+                    dist[ix(nxt)] = nd;
+                    prev[ix(nxt)] = ix(cur) as u32;
+                    heap.push(Item(nd, nxt));
+                }
+            };
+            if x + 1 < nx {
+                let c = edge_cost(grid, history, x, y, Dir::Horizontal);
+                relax((x + 1, y), c, &mut heap);
+            }
+            if x > 0 {
+                let c = edge_cost(grid, history, x - 1, y, Dir::Horizontal);
+                relax((x - 1, y), c, &mut heap);
+            }
+            if y + 1 < ny {
+                let c = edge_cost(grid, history, x, y, Dir::Vertical);
+                relax((x, y + 1), c, &mut heap);
+            }
+            if y > 0 {
+                let c = edge_cost(grid, history, x, y - 1, Dir::Vertical);
+                relax((x, y - 1), c, &mut heap);
+            }
+        }
+        let mut path = vec![b];
+        let mut cur = ix(b);
+        while cur != ix(a) {
+            cur = prev[cur] as usize;
+            path.push((cur % nx, cur / nx));
+        }
+        path.reverse();
+        path
+    }
+
+    /// Sum of [`edge_cost`] over a path's steps.
+    fn path_cost(grid: &RoutingGrid, history: &[f64], path: &[(usize, usize)]) -> f64 {
+        path.windows(2)
+            .map(|w| {
+                let (p, q) = (w[0], w[1]);
+                if p.1 == q.1 {
+                    edge_cost(grid, history, p.0.min(q.0), p.1, Dir::Horizontal)
+                } else {
+                    edge_cost(grid, history, p.0, p.1.min(q.1), Dir::Vertical)
+                }
+            })
+            .sum()
+    }
+
+    #[test]
+    fn a_star_paths_cost_exactly_what_dijkstra_paths_cost() {
+        // splitmix64: a seeded stream, so every run checks the same cases.
+        let mut state = 0x005e_ed0f_a5a5_u64;
+        let mut next = |n: usize| -> usize {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let (mut cases, mut detours) = (0, 0);
+        for _ in 0..240 {
+            let (nx, ny) = (2 + next(42), 2 + next(42));
+            let cap = 1 + next(4) as u32;
+            let mut grid = RoutingGrid::new(
+                sdp_geom::Rect::new(0.0, 0.0, nx as f64, ny as f64),
+                nx,
+                ny,
+                cap,
+                cap,
+            );
+            let mut history = vec![0.0; nx * ny * 2];
+            for y in 0..ny {
+                for x in 0..nx {
+                    if x + 1 < nx {
+                        grid.add_usage(x, y, Dir::Horizontal, next(cap as usize + 3) as i32);
+                        history[h_hist(nx, x, y)] = next(4) as f64 * HISTORY_INCREMENT;
+                    }
+                    if y + 1 < ny {
+                        grid.add_usage(x, y, Dir::Vertical, next(cap as usize + 3) as i32);
+                        history[v_hist(nx, ny, x, y)] = next(4) as f64 * HISTORY_INCREMENT;
+                    }
+                }
+            }
+            for _ in 0..10 {
+                let a = (next(nx), next(ny));
+                let b = (next(nx), next(ny));
+                let path = maze_route(a, b, &grid, &history);
+                assert_eq!(path.first(), Some(&a));
+                assert_eq!(path.last(), Some(&b));
+                for w in path.windows(2) {
+                    let d = w[0].0.abs_diff(w[1].0) + w[0].1.abs_diff(w[1].1);
+                    assert_eq!(d, 1, "path steps one gcell at a time: {path:?}");
+                }
+                let reference = reference_maze_route(a, b, &grid, &history);
+                let (got, want) = (
+                    path_cost(&grid, &history, &path),
+                    path_cost(&grid, &history, &reference),
+                );
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{nx}x{ny} grid, {a:?} -> {b:?}: A* cost {got}, Dijkstra cost {want}"
+                );
+                cases += 1;
+                if path.len() > 1 + a.0.abs_diff(b.0) + a.1.abs_diff(b.1) {
+                    detours += 1;
+                }
+            }
+        }
+        // Congestion must make many cheapest paths longer than the
+        // Manhattan distance, or the heuristic was never put to the test.
+        assert!(
+            detours > cases / 4,
+            "only {detours} of {cases} paths detour"
         );
     }
 }

@@ -11,8 +11,9 @@
 //!
 //! What is *in* the canonical form: the design source (resolved
 //! generator config, or a digest of the raw inline Bookshelf text), the
-//! full resolved [`FlowConfig`], and the chaos hook (a chaos job must
-//! never alias a real one). What is deliberately *out*:
+//! full resolved [`FlowConfig`], the chaos hook (a chaos job must never
+//! alias a real one), and [`RESULT_REVISION`] (a body computed by older
+//! code must never alias today's). What is deliberately *out*:
 //!
 //! - `label` — display only, never affects result bytes;
 //! - `deadline_ms` — decides *whether* a job completes, never what
@@ -29,6 +30,16 @@ use crate::spec::{CaseSource, JobSpec};
 use sdp_core::{AlignConfig, ExtractConfig, FlowConfig, GpConfig, LegalizerKind, WirelengthModel};
 use sdp_dpgen::GenConfig;
 use sdp_json::Json;
+
+/// The revision of the code that turns a spec into result bytes.
+///
+/// Bump it in any change that alters the result bytes of some spec. A
+/// server restarted on an older `--state-dir` replays bodies logged under
+/// the old hashes; with the revision in the hash they can no longer be
+/// served as cache hits for today's specs. Canonical forms without a
+/// `revision` member count as revision 0. Revision 1: the maze router
+/// became A*, which moves route-mode bodies.
+pub const RESULT_REVISION: u64 = 1;
 
 /// The content-address of a spec: FNV-1a 64 over the canonical JSON.
 pub fn spec_hash(spec: &JobSpec) -> u64 {
@@ -49,6 +60,7 @@ pub fn canonical_spec(spec: &JobSpec) -> Json {
         ("chaos", Json::Bool(*chaos_panic)),
         ("design", canonical_source(source)),
         ("flow", canonical_flow(flow)),
+        ("revision", Json::num(RESULT_REVISION as f64)),
     ])
 }
 
@@ -216,6 +228,15 @@ mod tests {
         let a = spec_hash(&parse_spec(BASE).unwrap());
         let b = spec_hash(&parse_spec(BASE).unwrap());
         assert_eq!(a, b, "parsing the same body twice must hash the same");
+    }
+
+    #[test]
+    fn hash_of_a_fixed_spec_is_pinned() {
+        // A change to the canonical form or to its serialization moves
+        // every hash and silently empties every warm cache. If this moves,
+        // the change must be deliberate: bump `RESULT_REVISION` if result
+        // bytes changed, then re-pin.
+        assert_eq!(spec_hash(&parse_spec(BASE).unwrap()), 0xff92_d741_7c57_1945);
     }
 
     #[test]

@@ -1449,6 +1449,54 @@ mod tests {
     }
 
     #[test]
+    fn bodies_logged_by_an_older_revision_are_not_cache_hits() {
+        // A log written before `RESULT_REVISION` joined the canonical
+        // form: one finished route-mode job under the spec's hash as that
+        // code computed it.
+        const ROUTE_SPEC: &str = r#"{"design": {"preset": "dp_tiny", "seed": 82},
+                                    "flow": {"fast": true, "mode": "route"}}"#;
+        const PRE_REVISION_HASH: u64 = 0xa812_f369_c749_1863;
+        let old_body = r#"{"routed_by":"dijkstra"}"#;
+        let dir = tempdir("revision");
+        {
+            let (mut store, _) = JobStore::open(&dir).unwrap();
+            store
+                .append(&StoredRecord {
+                    id: 1,
+                    hash: PRE_REVISION_HASH,
+                    label: "dp_tiny".into(),
+                    state: JobState::Done,
+                    result: Some(old_body.into()),
+                    error: None,
+                })
+                .unwrap();
+        }
+        let engine = Engine::start(EngineConfig {
+            workers: 0,
+            queue_depth: 8,
+            state_dir: Some(dir.clone()),
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        // The old job still answers under its id…
+        assert_eq!(
+            engine.result_response(1).unwrap(),
+            (200, old_body.to_string())
+        );
+        // …but the same spec submitted today is a miss: with no workers
+        // it stays queued instead of completing from the warm cache.
+        let spec = parse_spec(ROUTE_SPEC).unwrap();
+        assert_ne!(canon::spec_hash(&spec), PRE_REVISION_HASH);
+        let id = engine.submit(spec).unwrap();
+        assert_eq!(engine.peek_state(id), Some((JobState::Queued, false)));
+        assert!(engine
+            .metrics_text()
+            .contains("sdp_serve_cache_hits_total 0"));
+        engine.shutdown();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn tiny_cache_budget_disables_reuse_but_nothing_else() {
         // A 100-byte budget holds no result body: the LRU never admits
         // one, so duplicates re-run — the budget is respected end to end.

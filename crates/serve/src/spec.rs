@@ -10,7 +10,7 @@
 //! the netlist reader's own [`sdp_netlist::ParseError`] rendering, never
 //! an asynchronous job failure).
 
-use sdp_core::{FlowConfig, LegalizerKind, MAX_THREADS};
+use sdp_core::{FlowConfig, LegalizerKind, MAX_DP_NET_WEIGHT, MAX_THREADS};
 use sdp_dpgen::GenConfig;
 use sdp_json::Json;
 use sdp_netlist::BookshelfCase;
@@ -323,8 +323,12 @@ fn parse_flow(flow: Option<&Json>) -> Result<FlowConfig, SpecError> {
     if let Some(w) = flow.get("dp_net_weight") {
         cfg.dp_net_weight = w
             .as_f64()
-            .filter(|w| *w >= 1.0)
-            .ok_or_else(|| SpecError("`dp_net_weight` must be a number ≥ 1".into()))?;
+            .filter(|w| (1.0..=MAX_DP_NET_WEIGHT).contains(w))
+            .ok_or_else(|| {
+                SpecError(format!(
+                    "`dp_net_weight` must be a number in 1..={MAX_DP_NET_WEIGHT}"
+                ))
+            })?;
     }
     Ok(cfg)
 }
@@ -393,6 +397,20 @@ mod tests {
                 "{threads}: error names the range: {}",
                 err.0
             );
+        }
+    }
+
+    #[test]
+    fn dp_net_weight_is_bounded() {
+        let spec = |w: &str| {
+            parse_spec(&format!(
+                r#"{{"design": {{"preset": "dp_tiny"}}, "flow": {{"dp_net_weight": {w}}}}}"#
+            ))
+        };
+        assert_eq!(spec("1000").unwrap().flow.dp_net_weight, MAX_DP_NET_WEIGHT);
+        for w in ["0.5", "1000.5", "1e308"] {
+            let err = spec(w).unwrap_err();
+            assert!(err.0.contains("1..=1000"), "{w}: {}", err.0);
         }
     }
 

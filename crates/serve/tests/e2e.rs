@@ -1,6 +1,7 @@
 //! End-to-end tests: a real server on a loopback ephemeral port, driven
 //! through the HTTP API exactly as an external client would.
 
+use sdp_json::Json;
 use sdp_serve::client::{request, wait_for_job};
 use sdp_serve::{JobState, Server, ServerConfig};
 use std::time::Duration;
@@ -641,4 +642,51 @@ fn malformed_route_mode_is_a_structured_400() {
     // The queue stayed empty: rejected specs never become jobs.
     let (_, metrics) = request(port, "GET", "/metrics", "").unwrap();
     assert!(metrics.contains("sdp_serve_queue_depth 0"), "{metrics}");
+}
+
+#[test]
+fn out_of_range_numbers_are_400s_and_the_server_keeps_serving() {
+    // Each of these once reached a worker, which panicked on a NaN
+    // rectangle; now each is refused when the spec is parsed.
+    let server = start(1, 2);
+    let port = server.port();
+    let d = sdp_dpgen::generate(&sdp_dpgen::GenConfig::named("dp_tiny", 3).unwrap());
+    let dir = std::env::temp_dir().join(format!("sdp-e2e-range-{}", std::process::id()));
+    sdp_netlist::write_bookshelf(&dir, "t", &d.netlist, &d.design, &d.placement).unwrap();
+    let member = |ext: &str| std::fs::read_to_string(dir.join(format!("t.{ext}"))).unwrap();
+    let nodes = member("nodes");
+    assert!(nodes.contains("dp_tiny_0 2 1"));
+    let bundle = Json::obj([(
+        "design",
+        Json::obj([(
+            "bookshelf",
+            Json::obj([
+                (
+                    "nodes",
+                    Json::str(nodes.replacen("dp_tiny_0 2 1", "dp_tiny_0 NaN 1", 1)),
+                ),
+                ("nets", Json::str(member("nets"))),
+                ("pl", Json::str(member("pl"))),
+                ("scl", Json::str(member("scl"))),
+            ]),
+        )]),
+    )])
+    .to_string();
+    std::fs::remove_dir_all(&dir).unwrap();
+    let weight = r#"{"design": {"preset": "dp_tiny"}, "flow": {"dp_net_weight": 1e308}}"#;
+    for (spec, names) in [
+        (bundle.as_str(), "width `NaN` is outside"),
+        (weight, "`dp_net_weight` must be a number in 1..=1000"),
+    ] {
+        let (status, body) = request(port, "POST", "/jobs", spec).unwrap();
+        assert_eq!(status, 400, "{body}");
+        assert!(body.contains(names), "{body}");
+    }
+    let (status, body) = request(port, "GET", "/healthz", "").unwrap();
+    assert_eq!((status, body.as_str()), (200, r#"{"status":"ok"}"#));
+    let (_, metrics) = request(port, "GET", "/metrics", "").unwrap();
+    assert!(
+        metrics.contains("sdp_serve_jobs_failed_total 0"),
+        "{metrics}"
+    );
 }
