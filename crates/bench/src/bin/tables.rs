@@ -5,39 +5,39 @@
 //! cargo run --release -p sdp-bench --bin tables -- t3 f2   # a subset
 //! cargo run --release -p sdp-bench --bin tables -- --quick # smoke profile
 //! ```
+//!
+//! An unknown flag or id prints the usage and exits 2 before any
+//! experiment runs.
 
 use sdp_bench::{all_ids, run_experiment, Mode};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let mode = if quick { Mode::Quick } else { Mode::Full };
-    let requested: Vec<String> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(|a| a.to_lowercase())
-        .collect();
-    let ids: Vec<&str> = if requested.is_empty() {
-        all_ids().to_vec()
-    } else {
-        let mut ids = Vec::new();
-        for r in &requested {
-            match all_ids().iter().find(|&&k| k == r) {
-                Some(&k) => ids.push(k),
-                None => {
-                    eprintln!("unknown experiment `{r}`; known: {}", all_ids().join(" "));
-                    return ExitCode::FAILURE;
-                }
-            }
+    let mut quick = false;
+    let mut ids = Vec::new();
+    for arg in std::env::args().skip(1) {
+        let id = arg.to_lowercase();
+        if arg == "--quick" {
+            quick = true;
+        } else if let Some(&k) = all_ids().iter().find(|&&k| k == id) {
+            ids.push(k);
+        } else {
+            eprintln!(
+                "tables: unknown argument `{arg}`\nusage: tables [--quick] [ID ...]; ids: {}",
+                all_ids().join(" ")
+            );
+            return ExitCode::from(2);
         }
-        ids
-    };
+    }
+    if ids.is_empty() {
+        ids = all_ids().to_vec();
+    }
 
     println!(
         "sdplace evaluation harness — mode: {}\n",
         if quick { "quick" } else { "full" }
     );
+    let mode = if quick { Mode::Quick } else { Mode::Full };
     for id in ids {
         let r = run_experiment(id, mode).expect("validated above");
         println!(

@@ -1,4 +1,4 @@
-//! Implementations of experiments T1–T5 and F1–F5.
+//! Implementations of experiments T1–T6, F1–F7 and `serve-soak`.
 
 use sdp_core::{FlowConfig, FlowOutput, StructurePlacer};
 use sdp_dpgen::{generate, GenConfig, GeneratedDesign};
@@ -52,10 +52,7 @@ pub fn all_ids() -> &'static [&'static str] {
         "f5",
         "f6",
         "f7",
-        "serve-throughput",
         "serve-soak",
-        "route-loop",
-        "trajectory",
     ]
 }
 
@@ -126,10 +123,7 @@ pub fn run_experiment(id: &str, mode: Mode) -> Option<ExperimentResult> {
         "f5" => f5(mode),
         "f6" => f6(mode),
         "f7" => f7(mode),
-        "serve-throughput" => serve_throughput(mode),
         "serve-soak" => serve_soak(mode),
-        "route-loop" => route_loop(mode),
-        "trajectory" => trajectory(mode),
         _ => return None,
     };
     Some(ExperimentResult {
@@ -730,149 +724,6 @@ fn f7(mode: Mode) -> Exp {
     )
 }
 
-/// serve-throughput — N concurrent placement jobs through a real
-/// loopback `sdp-serve` instance. Reports jobs/sec and client-observed
-/// latency percentiles, and writes `BENCH_serve.json` at the repo root
-/// for CI trend tracking.
-fn serve_throughput(mode: Mode) -> Exp {
-    use sdp_serve::client::{request, wait_for_job};
-    use sdp_serve::{Server, ServerConfig};
-    use std::time::Duration;
-
-    let (preset, n_jobs, workers) = match mode {
-        Mode::Quick => ("dp_tiny", 8usize, 2usize),
-        Mode::Full => ("dp_small", 16, 4),
-    };
-    let server = Server::start(ServerConfig {
-        port: 0,
-        workers,
-        queue_depth: n_jobs,
-        ..ServerConfig::default()
-    })
-    .expect("loopback server on an ephemeral port");
-    let port = server.port();
-
-    // One client thread per job: submit, poll to completion, record the
-    // client-observed latency and the server-reported queue wait.
-    let t0 = Instant::now();
-    let clients: Vec<_> = (0..n_jobs)
-        .map(|k| {
-            let preset = preset.to_string();
-            std::thread::spawn(move || -> (f64, f64) {
-                let spec = format!(
-                    r#"{{"design": {{"preset": "{preset}", "seed": {k}}}, "flow": {{"fast": true}}}}"#
-                );
-                let submitted = Instant::now();
-                let (status, body) = request(port, "POST", "/jobs", &spec).expect("submit");
-                assert_eq!(status, 202, "submit: {body}");
-                let id = sdp_json::parse(&body)
-                    .ok()
-                    .and_then(|v| v.get("id").and_then(sdp_json::Json::as_u64))
-                    .expect("202 body carries the job id");
-                let status_body =
-                    wait_for_job(port, id, Duration::from_secs(600)).expect("job settles");
-                assert!(
-                    status_body.contains(r#""state":"done""#),
-                    "job {id}: {status_body}"
-                );
-                let latency = submitted.elapsed().as_secs_f64();
-                let queue_wait = sdp_json::parse(&status_body)
-                    .ok()
-                    .and_then(|v| v.get("queue_wait_s").and_then(sdp_json::Json::as_f64))
-                    .unwrap_or(0.0);
-                (latency, queue_wait)
-            })
-        })
-        .collect();
-    let mut latency = Vec::with_capacity(n_jobs);
-    let mut queue_wait = Vec::with_capacity(n_jobs);
-    for c in clients {
-        let (l, q) = c.join().expect("client thread");
-        latency.push(l);
-        queue_wait.push(q);
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let jobs_per_sec = n_jobs as f64 / wall.max(1e-9);
-    latency.sort_by(|a, b| a.total_cmp(b));
-    queue_wait.sort_by(|a, b| a.total_cmp(b));
-    let pct = |sorted: &[f64], p: f64| -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let ix = ((p / 100.0) * (sorted.len() - 1) as f64).round() as usize;
-        sorted[ix.min(sorted.len() - 1)]
-    };
-    let mean = latency.iter().sum::<f64>() / n_jobs.max(1) as f64;
-
-    let json = sdp_json::Json::obj([
-        (
-            "mode",
-            sdp_json::Json::str(if mode == Mode::Quick { "quick" } else { "full" }),
-        ),
-        ("preset", sdp_json::Json::str(preset)),
-        ("jobs", sdp_json::Json::num(n_jobs as f64)),
-        ("workers", sdp_json::Json::num(workers as f64)),
-        ("wall_s", sdp_json::Json::num(wall)),
-        ("jobs_per_sec", sdp_json::Json::num(jobs_per_sec)),
-        (
-            "latency_s",
-            sdp_json::Json::obj([
-                ("mean", sdp_json::Json::num(mean)),
-                ("p50", sdp_json::Json::num(pct(&latency, 50.0))),
-                ("p99", sdp_json::Json::num(pct(&latency, 99.0))),
-            ]),
-        ),
-        (
-            "queue_wait_s",
-            sdp_json::Json::obj([
-                ("p50", sdp_json::Json::num(pct(&queue_wait, 50.0))),
-                ("p99", sdp_json::Json::num(pct(&queue_wait, 99.0))),
-            ]),
-        ),
-    ]);
-    // Quick mode is the smoke profile (and runs inside `cargo test`);
-    // only a full run refreshes the committed snapshot.
-    if mode == Mode::Full {
-        let out_path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-        std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_serve.json");
-    }
-
-    let mut t = Table::new([
-        "preset",
-        "jobs",
-        "workers",
-        "wall s",
-        "jobs/s",
-        "lat p50 s",
-        "lat p99 s",
-        "queue p50 s",
-        "queue p99 s",
-    ]);
-    t.row([
-        preset.to_string(),
-        n_jobs.to_string(),
-        workers.to_string(),
-        format!("{wall:.2}"),
-        format!("{jobs_per_sec:.2}"),
-        format!("{:.3}", pct(&latency, 50.0)),
-        format!("{:.3}", pct(&latency, 99.0)),
-        format!("{:.3}", pct(&queue_wait, 50.0)),
-        format!("{:.3}", pct(&queue_wait, 99.0)),
-    ]);
-    (
-        "serve-throughput",
-        "Serving throughput: concurrent jobs through sdp-serve",
-        t,
-        "With more workers than one, jobs overlap: wall-clock is well \
-         under the sum of per-job latencies, and p99 latency tracks \
-         queue wait once all workers are busy. Numbers are wall-clock \
-         (machine-dependent) — unlike the placement tables they are not \
-         bitwise reproducible, which is why they live in a separate \
-         BENCH_serve.json rather than the deterministic tables output.",
-    )
-}
-
 /// What one duplicate-heavy stream measured.
 struct SoakStats {
     wall: f64,
@@ -973,7 +824,7 @@ fn run_soak_stream(
 /// run). Runs one plain-flow stream and one `mode=route` stream (the
 /// feedback loop behind the same cache guarantees). Reports the
 /// measured hit ratio, end-to-end jobs/sec, and peak RSS; a full run
-/// merges a `soak` member into `BENCH_serve.json`.
+/// writes them to `BENCH_serve.json`.
 fn serve_soak(mode: Mode) -> Exp {
     let (n_jobs, unique, workers, client_threads) = match mode {
         Mode::Quick => (60usize, 6usize, 2usize, 3usize),
@@ -1017,45 +868,29 @@ fn serve_soak(mode: Mode) -> Exp {
     }
     let rss = peak_rss_bytes();
 
-    // serve-throughput owns BENCH_serve.json and overwrites it whole, so
-    // the soak snapshot merges in as a `soak` member (read-modify-write).
     if mode == Mode::Full {
-        let stream_json = |jobs: usize, uniq: usize, s: &SoakStats| {
-            sdp_json::Json::obj([
-                ("jobs", sdp_json::Json::num(jobs as f64)),
-                ("unique_specs", sdp_json::Json::num(uniq as f64)),
-                ("workers", sdp_json::Json::num(workers as f64)),
-                ("wall_s", sdp_json::Json::num(s.wall)),
-                ("jobs_per_sec", sdp_json::Json::num(s.jobs_per_sec)),
-                ("hit_ratio", sdp_json::Json::num(s.hit_ratio)),
-                ("cache_hits", sdp_json::Json::num(s.hits)),
-                ("coalesced", sdp_json::Json::num(s.coalesced)),
-                ("placements_run", sdp_json::Json::num(s.completed)),
+        use sdp_json::Json;
+        let stream_json = |(_, jobs, uniq, s): &(&str, usize, usize, SoakStats)| {
+            Json::obj([
+                ("jobs", Json::num(*jobs as f64)),
+                ("unique_specs", Json::num(*uniq as f64)),
+                ("workers", Json::num(workers as f64)),
+                ("wall_s", Json::num(s.wall)),
+                ("jobs_per_sec", Json::num(s.jobs_per_sec)),
+                ("hit_ratio", Json::num(s.hit_ratio)),
+                ("cache_hits", Json::num(s.hits)),
+                ("coalesced", Json::num(s.coalesced)),
+                ("placements_run", Json::num(s.completed)),
             ])
         };
-        let mut soak = match stream_json(n_jobs, unique, &streams[0].3) {
-            sdp_json::Json::Obj(members) => members,
-            _ => unreachable!("stream_json builds an object"),
-        };
-        soak.insert(
-            "route".to_string(),
-            stream_json(route_jobs, route_unique, &streams[1].3),
-        );
-        soak.insert("peak_rss_bytes".to_string(), sdp_json::Json::num(rss));
-        let soak = sdp_json::Json::Obj(soak);
+        let json = Json::obj([
+            ("hpwl", stream_json(&streams[0])),
+            ("route", stream_json(&streams[1])),
+            ("peak_rss_bytes", Json::num(rss)),
+        ]);
         let out_path =
             std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-        let merged = match std::fs::read_to_string(&out_path)
-            .ok()
-            .and_then(|text| sdp_json::parse(&text).ok())
-        {
-            Some(sdp_json::Json::Obj(mut members)) => {
-                members.insert("soak".to_string(), soak);
-                sdp_json::Json::Obj(members)
-            }
-            _ => sdp_json::Json::obj([("soak", soak)]),
-        };
-        std::fs::write(&out_path, format!("{merged}\n")).expect("write BENCH_serve.json");
+        std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_serve.json");
     }
 
     let mut t = Table::new([
@@ -1093,160 +928,14 @@ fn serve_soak(mode: Mode) -> Exp {
          every repeat is answered from the content-addressed cache (or \
          coalesces onto an in-flight run), so jobs/sec is far above the \
          raw placement rate. Wall-clock numbers are machine-dependent \
-         and live in BENCH_serve.json's `soak` member, not the \
-         deterministic tables output.",
-    )
-}
-
-/// route-loop — the routability-driven feedback loop (`mode=route`)
-/// against a one-shot place-then-route on a congestion-heavy variant of
-/// a suite preset (utilization raised well above the default). Reports
-/// the overflow-vs-round trajectory, the kept result's overflow
-/// reduction and HPWL cost, and router throughput; a full run writes
-/// `BENCH_route.json` and merges a `route_loop` member into
-/// `BENCH_trajectory.json` for the perf gate.
-fn route_loop(mode: Mode) -> Exp {
-    use sdp_core::FlowMode;
-    use sdp_json::Json;
-
-    let preset = match mode {
-        Mode::Quick => "dp_tiny",
-        Mode::Full => "dp_medium",
-    };
-    // Congested variant: raise placement utilization so the router sees
-    // real hotspots under the default track budget.
-    let mut gc = GenConfig::named(preset, SEED).expect("suite preset");
-    gc.utilization = 0.92;
-    let d = generate(&gc);
-
-    // One-shot: the plain HPWL flow, routed once afterwards. Timed to
-    // report router throughput (gcells swept per second across the
-    // initial pass plus every RRR iteration).
-    let one_shot =
-        StructurePlacer::new(flow_config(mode)).place(&d.netlist, &d.design, &d.placement);
-    let rc = RouteConfig::default();
-    let t0 = Instant::now();
-    let r_one = route(&d.netlist, &one_shot.placement, &d.design, &rc);
-    let route_wall = t0.elapsed().as_secs_f64();
-    let (nx, ny) = r_one.grid;
-    let gcells_per_sec = (nx * ny) as f64 * (r_one.iterations + 1) as f64 / route_wall.max(1e-9);
-
-    // Feedback loop: the same flow in route mode.
-    let mut loop_cfg = flow_config(mode);
-    loop_cfg.mode = FlowMode::Route;
-    let looped = StructurePlacer::new(loop_cfg).place(&d.netlist, &d.design, &d.placement);
-    let rep = looped
-        .report
-        .route
-        .clone()
-        .expect("route mode carries a RouteReport");
-    let overflow_reduction = if r_one.overflow > 0 {
-        1.0 - rep.overflow as f64 / r_one.overflow as f64
-    } else {
-        0.0
-    };
-    let hpwl_ratio = looped.report.hpwl.total / one_shot.report.hpwl.total;
-
-    let mut t = Table::new(["stage", "overflow", "routed WL", "max util", "hpwl ratio"]);
-    for (i, r) in looped.report.route_trace.iter().enumerate() {
-        let stage = if i == 0 {
-            "one-shot".to_string()
-        } else {
-            format!("round {i}")
-        };
-        t.row([
-            stage,
-            r.overflow.to_string(),
-            format!("{:.0}", r.wirelength),
-            format!("{:.2}", r.max_utilization),
-            if i == 0 {
-                "1.000".to_string()
-            } else {
-                "-".to_string()
-            },
-        ]);
-    }
-    t.row([
-        "kept".to_string(),
-        rep.overflow.to_string(),
-        format!("{:.0}", rep.wirelength),
-        format!("{:.2}", rep.max_utilization),
-        format!("{hpwl_ratio:.3}"),
-    ]);
-
-    if mode == Mode::Full {
-        let round_json = |r: &sdp_route::RouteReport| {
-            Json::obj([
-                ("overflow", Json::num(r.overflow as f64)),
-                ("wirelength", Json::num(r.wirelength)),
-                ("max_utilization", Json::num(r.max_utilization)),
-            ])
-        };
-        let json = Json::obj([
-            ("mode", Json::str("full")),
-            ("preset", Json::str(preset)),
-            ("utilization", Json::num(gc.utilization)),
-            (
-                "grid",
-                Json::obj([("x", Json::num(nx as f64)), ("y", Json::num(ny as f64))]),
-            ),
-            ("one_shot", round_json(&r_one)),
-            ("feedback", round_json(&rep)),
-            (
-                "feedback_rounds",
-                Json::num(looped.report.route_rounds as f64),
-            ),
-            ("overflow_reduction", Json::num(overflow_reduction)),
-            ("hpwl_ratio", Json::num(hpwl_ratio)),
-            ("route_wall_s", Json::num(route_wall)),
-            ("gcells_per_sec", Json::num(gcells_per_sec)),
-            (
-                "trajectory",
-                Json::Arr(looped.report.route_trace.iter().map(round_json).collect()),
-            ),
-        ]);
-        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        std::fs::write(root.join("BENCH_route.json"), format!("{json}\n"))
-            .expect("write BENCH_route.json");
-
-        // The trajectory experiment owns BENCH_trajectory.json and
-        // overwrites it whole, so the gate's route_loop member merges
-        // in read-modify-write (same pattern as serve-soak's member in
-        // BENCH_serve.json) — CI runs `trajectory` first, then this.
-        let gate = Json::obj([
-            ("overflow_reduction", Json::num(overflow_reduction)),
-            ("gcells_per_sec", Json::num(gcells_per_sec)),
-        ]);
-        let out_path = root.join("BENCH_trajectory.json");
-        let merged = match std::fs::read_to_string(&out_path)
-            .ok()
-            .and_then(|text| sdp_json::parse(&text).ok())
-        {
-            Some(Json::Obj(mut members)) => {
-                members.insert("route_loop".to_string(), gate);
-                Json::Obj(members)
-            }
-            _ => Json::obj([("route_loop", gate)]),
-        };
-        std::fs::write(&out_path, format!("{merged}\n")).expect("write BENCH_trajectory.json");
-    }
-
-    (
-        "route-loop",
-        "Routability feedback loop vs one-shot place-then-route",
-        t,
-        "On a congested design the RUDY-feedback inflation loop cuts \
-         routed overflow substantially (the gate holds ≥20% on the \
-         reference machine) at a small HPWL cost (≤5%); round 0 is \
-         byte-identical to the one-shot flow, so the kept result never \
-         routes worse. On already-routable designs the loop exits after \
-         the first route and the rows coincide.",
+         and live in BENCH_serve.json, not the deterministic tables \
+         output.",
     )
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`); `0.0` where that file is unavailable
-/// (non-Linux), which the perf gate treats as "metric not measured".
+/// (non-Linux).
 fn peak_rss_bytes() -> f64 {
     let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
         return 0.0;
@@ -1263,190 +952,6 @@ fn peak_rss_bytes() -> f64 {
         }
     }
     0.0
-}
-
-/// trajectory — the performance-trajectory snapshot CI gates on: GP
-/// objective evaluations per second (preconditioned Nesterov),
-/// extraction cells per second, serve jobs per second through a real
-/// loopback server, and the process's peak RSS. Writes
-/// `BENCH_trajectory.json` at the repo root in full mode; the `perf_gate` binary compares it against the committed
-/// `BENCH_trajectory_baseline.json` and fails on a >10% regression on
-/// any throughput metric (or >10% peak-RSS growth).
-fn trajectory(mode: Mode) -> Exp {
-    use sdp_gp::{GlobalPlacer, GpConfig};
-    use sdp_json::Json;
-    use sdp_serve::client::{request, wait_for_job};
-    use sdp_serve::{Server, ServerConfig};
-    use std::time::Duration;
-
-    // GP throughput: the Nesterov inner loop on a fixed design.
-    let gp_preset = match mode {
-        Mode::Quick => "dp_tiny",
-        Mode::Full => "dp_small",
-    };
-    let base = match mode {
-        Mode::Quick => GpConfig::fast(),
-        Mode::Full => GpConfig::default(),
-    };
-    let mut d = gen(gp_preset);
-    let placer = GlobalPlacer::new(base);
-    let t0 = Instant::now();
-    let stats = placer.place(&d.netlist, &d.design, &mut d.placement, None);
-    let gp_wall = t0.elapsed().as_secs_f64();
-    let gp_evals_per_sec = stats.evals as f64 / gp_wall.max(1e-9);
-
-    // Extraction throughput on the same design: cells scanned per
-    // second through the full multi-round extractor.
-    let t0 = Instant::now();
-    let _ = extract(&d.netlist, &ExtractConfig::default());
-    let extract_wall = t0.elapsed().as_secs_f64();
-    let extract_cells_per_sec = d.netlist.num_cells() as f64 / extract_wall.max(1e-9);
-
-    // Serve throughput: small fast jobs through a loopback instance —
-    // deliberately lighter than serve-throughput so the snapshot stays
-    // cheap enough to run on every CI push.
-    let (n_jobs, workers) = match mode {
-        Mode::Quick => (4usize, 2usize),
-        Mode::Full => (12, 4),
-    };
-    let server = Server::start(ServerConfig {
-        port: 0,
-        workers,
-        queue_depth: n_jobs,
-        ..ServerConfig::default()
-    })
-    .expect("loopback server on an ephemeral port");
-    let port = server.port();
-    let t0 = Instant::now();
-    let clients: Vec<_> = (0..n_jobs)
-        .map(|k| {
-            std::thread::spawn(move || {
-                let spec = format!(
-                    r#"{{"design": {{"preset": "dp_tiny", "seed": {k}}}, "flow": {{"fast": true}}}}"#
-                );
-                let (status, body) = request(port, "POST", "/jobs", &spec).expect("submit");
-                assert_eq!(status, 202, "submit: {body}");
-                let id = sdp_json::parse(&body)
-                    .ok()
-                    .and_then(|v| v.get("id").and_then(sdp_json::Json::as_u64))
-                    .expect("202 body carries the job id");
-                let status_body =
-                    wait_for_job(port, id, Duration::from_secs(600)).expect("job settles");
-                assert!(
-                    status_body.contains(r#""state":"done""#),
-                    "job {id}: {status_body}"
-                );
-            })
-        })
-        .collect();
-    for c in clients {
-        c.join().expect("client thread");
-    }
-    let serve_wall = t0.elapsed().as_secs_f64();
-    let serve_jobs_per_sec = n_jobs as f64 / serve_wall.max(1e-9);
-
-    // Duplicate-heavy soak: the content-addressed-cache/coalescing fast
-    // path — the gate holds its hit ratio and jobs/sec so a regression
-    // in canonical hashing or the cache shows up on every CI push.
-    let (soak_jobs, soak_unique, soak_workers, soak_clients) = match mode {
-        Mode::Quick => (20usize, 4usize, 2usize, 2usize),
-        Mode::Full => (120, 6, 4, 4),
-    };
-    let soak = run_soak_stream(
-        soak_jobs,
-        soak_unique,
-        soak_workers,
-        soak_clients,
-        r#"{"fast": true}"#,
-    );
-
-    // Measured last so it covers all workloads above.
-    let rss = peak_rss_bytes();
-
-    let json = Json::obj([
-        (
-            "mode",
-            Json::str(if mode == Mode::Quick { "quick" } else { "full" }),
-        ),
-        (
-            "gp",
-            Json::obj([
-                ("preset", Json::str(gp_preset)),
-                ("evals", Json::num(stats.evals as f64)),
-                ("wall_s", Json::num(gp_wall)),
-                ("evals_per_sec", Json::num(gp_evals_per_sec)),
-            ]),
-        ),
-        (
-            "extract",
-            Json::obj([
-                ("cells", Json::num(d.netlist.num_cells() as f64)),
-                ("wall_s", Json::num(extract_wall)),
-                ("cells_per_sec", Json::num(extract_cells_per_sec)),
-            ]),
-        ),
-        (
-            "serve",
-            Json::obj([
-                ("jobs", Json::num(n_jobs as f64)),
-                ("workers", Json::num(workers as f64)),
-                ("wall_s", Json::num(serve_wall)),
-                ("jobs_per_sec", Json::num(serve_jobs_per_sec)),
-            ]),
-        ),
-        (
-            "serve_soak",
-            Json::obj([
-                ("jobs", Json::num(soak_jobs as f64)),
-                ("unique_specs", Json::num(soak_unique as f64)),
-                ("wall_s", Json::num(soak.wall)),
-                ("jobs_per_sec", Json::num(soak.jobs_per_sec)),
-                ("hit_ratio", Json::num(soak.hit_ratio)),
-            ]),
-        ),
-        ("peak_rss_bytes", Json::num(rss)),
-    ]);
-    // Same policy as the other BENCH files: only a full run refreshes
-    // the snapshot (quick mode runs inside `cargo test`).
-    if mode == Mode::Full {
-        let out_path =
-            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_trajectory.json");
-        std::fs::write(&out_path, format!("{json}\n")).expect("write BENCH_trajectory.json");
-    }
-
-    let mut t = Table::new(["metric", "value"]);
-    t.row(["gp evals/s".to_string(), format!("{gp_evals_per_sec:.0}")]);
-    t.row([
-        "extract cells/s".to_string(),
-        format!("{extract_cells_per_sec:.0}"),
-    ]);
-    t.row([
-        "serve jobs/s".to_string(),
-        format!("{serve_jobs_per_sec:.2}"),
-    ]);
-    t.row([
-        "soak jobs/s".to_string(),
-        format!("{:.2}", soak.jobs_per_sec),
-    ]);
-    t.row([
-        "soak hit ratio".to_string(),
-        format!("{:.3}", soak.hit_ratio),
-    ]);
-    t.row([
-        "peak RSS MiB".to_string(),
-        format!("{:.1}", rss / (1024.0 * 1024.0)),
-    ]);
-    (
-        "trajectory",
-        "Performance trajectory: GP evals/s, serve jobs/s, peak RSS",
-        t,
-        "All four metrics are machine-dependent wall-clock/memory \
-         numbers, so they live in BENCH_trajectory.json rather than the \
-         deterministic tables output. The perf_gate binary holds each \
-         run within 10% of the committed baseline; refresh the baseline \
-         deliberately (and on the same machine class) when a change is \
-         supposed to move these numbers.",
-    )
 }
 
 #[cfg(test)]

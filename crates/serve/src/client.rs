@@ -1,6 +1,7 @@
 //! A minimal blocking HTTP client for the serve API — enough for the
-//! e2e tests and the `serve-throughput` benchmark to drive a loopback
-//! server without external dependencies.
+//! e2e tests, the `serve-soak` experiment and the benchmark's
+//! `serve_mixed` workload to drive a loopback server without external
+//! dependencies.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;

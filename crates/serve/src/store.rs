@@ -233,6 +233,53 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A kill can stop an append at any byte. Whatever the cut, opening
+    /// the log succeeds, replays exactly the lines whose `\n` was written,
+    /// clips the file to them, and later appends extend a well-formed log.
+    #[test]
+    fn replay_survives_a_cut_at_every_byte() {
+        let dir = tempdir("cut-source");
+        let (mut store, _) = JobStore::open(&dir).unwrap();
+        let records = [
+            rec(1, JobState::Done, Some("{\"hpwl\": 1}\n{\"rows\":\n[2]}\n")),
+            StoredRecord {
+                label: "Ωmega-аддер ✓ 🧮".to_string(),
+                ..rec(2, JobState::Failed, None)
+            },
+            rec(3, JobState::Cancelled, None),
+        ];
+        for r in &records {
+            store.append(r).unwrap();
+        }
+        drop(store);
+        let log = std::fs::read(dir.join("jobs.log")).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        let ends: Vec<usize> = (1..=log.len()).filter(|&e| log[e - 1] == b'\n').collect();
+        assert_eq!(ends.len(), 3, "escaped newlines stay inside their record");
+        assert!(!log.is_ascii(), "the label is written as raw UTF-8");
+
+        let extra = rec(4, JobState::Done, Some("after the cut"));
+        for k in 0..=log.len() {
+            let dir = tempdir("cut");
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(dir.join("jobs.log"), &log[..k]).unwrap();
+            let whole = ends.iter().filter(|&&e| e <= k).count();
+            let (mut store, replayed) =
+                JobStore::open(&dir).unwrap_or_else(|e| panic!("cut at {k}: {e}"));
+            assert_eq!(replayed, records[..whole], "cut at {k}");
+            let kept = if whole == 0 { 0 } else { ends[whole - 1] };
+            let clipped = std::fs::read(dir.join("jobs.log")).unwrap();
+            assert_eq!(clipped, log[..kept], "cut at {k}: clipped to whole lines");
+            store.append(&extra).unwrap();
+            drop(store);
+            let (_store, replayed) = JobStore::open(&dir).unwrap();
+            let mut expected = records[..whole].to_vec();
+            expected.push(extra.clone());
+            assert_eq!(replayed, expected, "cut at {k}, then one append");
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
     #[test]
     fn rewrite_compacts_to_exactly_the_given_records() {
         let dir = tempdir("compact");
