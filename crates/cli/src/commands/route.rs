@@ -8,10 +8,17 @@ use sdp_route::{route, rudy_map, RouteConfig};
 /// Runs the subcommand.
 pub fn run(raw: &[String]) -> Result<(), String> {
     let args = Args::parse(raw, &["tracks", "svg"])?;
+    let tracks_per_gcell = match args.number::<u64>("tracks")? {
+        None => 12,
+        Some(t) => u32::try_from(t)
+            .ok()
+            .filter(|&t| t >= 1)
+            .ok_or_else(|| format!("--tracks: {t} is out of range 1..={}", u32::MAX))?,
+    };
     let path = args.positional(0).ok_or("route needs a .aux path")?;
     let case = load_case(path)?;
     let config = RouteConfig {
-        tracks_per_gcell: args.number("tracks")?.unwrap_or(12),
+        tracks_per_gcell,
         ..RouteConfig::default()
     };
 

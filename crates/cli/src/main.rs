@@ -61,7 +61,8 @@ OPTIONS:
   --rounds K      signature refinement depth for extract   [default: 1]
   --gates N       custom design size (with gen)
   --fraction F    custom datapath fraction in [0,1] (with gen)
-  --tracks N      routing tracks per gcell edge            [default: 12]
+  --tracks N      routing tracks per gcell edge, at least 1
+                                                         [default: 12]
   --svg FILE      write an SVG rendering (place: cells+groups; route:
                   RUDY congestion heat map)
   --port P        serve: TCP port on 127.0.0.1         [default: 7878]

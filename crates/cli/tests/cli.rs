@@ -158,6 +158,42 @@ fn absurd_thread_counts_are_rejected() {
 }
 
 #[test]
+fn out_of_range_track_counts_are_rejected() {
+    let prefix = tmp("tracks/case");
+    let prefix_s = prefix.to_str().expect("utf-8 tmp path");
+    let out = sdplace(&["gen", "dp_tiny", "--seed", "9", "--out", prefix_s]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let aux = format!("{prefix_s}.aux");
+
+    for tracks in ["0", "4294967296"] {
+        let out = sdplace(&["route", &aux, "--tracks", tracks]);
+        assert_eq!(out.status.code(), Some(1), "--tracks {tracks} must exit 1");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(
+            err.contains(&format!(
+                "--tracks: {tracks} is out of range 1..=4294967295"
+            )),
+            "{err}"
+        );
+        assert!(out.stdout.is_empty(), "nothing routed");
+    }
+
+    let out = sdplace(&["route", &aux, "--tracks", "1"]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("overflow"));
+}
+
+#[test]
 fn gen_custom_fraction_design() {
     let prefix = tmp("custom/sweep");
     let prefix_s = prefix.to_str().expect("utf-8");

@@ -6,10 +6,11 @@
 //! copies: `sdp-serve` parses request bodies and emits responses with it,
 //! and `crates/lint/tests/sarif_validity.rs` validates the SARIF emitter
 //! against it. The parser is deliberately strict — trailing commas, raw
-//! control characters in strings, bad `\u` escapes, and trailing content
-//! are all rejected, because anything this parser admits must also be
-//! admitted by every real-world consumer (Prometheus scrapers, GitHub
-//! code scanning, `curl | jq`).
+//! control characters in strings, bad `\u` escapes, numbers outside the
+//! RFC 8259 grammar (`01`, `1.`, `-.5`), and trailing content are all
+//! rejected, because anything this parser admits must also be admitted
+//! by every real-world consumer (Prometheus scrapers, GitHub code
+//! scanning, `curl | jq`).
 //!
 //! Every accessor is non-panicking (`Option`/`Result`); the crate sits on
 //! the serving path and `panic-reachability` holds it to the kernel
@@ -380,16 +381,40 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// An RFC 8259 §6 number,
+    /// `-? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?`, converted by
+    /// `f64::from_str`. A value too large for `f64` is an error.
     fn number(&mut self) -> Result<Json, JsonError> {
         let start = self.i;
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        while self
-            .peek()
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
+        match self.peek() {
+            Some(b'0') => {
+                self.i += 1;
+                if self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                    return Err(self.err("bad number: leading zero"));
+                }
+            }
+            Some(b'1'..=b'9') => {
+                self.digits();
+            }
+            _ => return Err(self.err("bad number: expected a digit")),
+        }
+        if self.peek() == Some(b'.') {
             self.i += 1;
+            if self.digits() == 0 {
+                return Err(self.err("bad number: expected a fraction digit"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            if self.digits() == 0 {
+                return Err(self.err("bad number: expected an exponent digit"));
+            }
         }
         std::str::from_utf8(&self.s[start..self.i])
             .ok()
@@ -397,6 +422,15 @@ impl<'a> Parser<'a> {
             .filter(|n| n.is_finite())
             .map(Json::Num)
             .ok_or_else(|| self.err("bad number"))
+    }
+
+    /// Skips a run of ASCII digits and returns its length.
+    fn digits(&mut self) -> usize {
+        let start = self.i;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.i += 1;
+        }
+        self.i - start
     }
 }
 
@@ -539,6 +573,78 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "must reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for bad in [
+            "01", "00", "-01.0", "1.", "2.", "-.5", "1.e5", ".5", "-", "+1", "1e", "1e+", "0x1",
+            "1.5.3", "--1", "- 1",
+        ] {
+            for doc in [
+                bad.to_string(),
+                format!("[{bad}]"),
+                format!(r#"{{"threads": {bad}}}"#),
+            ] {
+                assert!(parse(&doc).is_err(), "must reject {doc:?}");
+            }
+        }
+        // Every valid form is the `f64::from_str` value of its text, as
+        // before the grammar was enforced.
+        for good in [
+            "0",
+            "-0",
+            "7",
+            "-12.5e1",
+            "0.5",
+            "-0.0",
+            "1e5",
+            "1E+05",
+            "2.5e-3",
+            "0e0",
+            "123456789012345678901234567890",
+            "1.7976931348623157e308",
+            "5e-324",
+        ] {
+            let want = good.parse::<f64>().map(f64::to_bits).ok();
+            for doc in [good.to_string(), format!(r#"{{"threads": {good}}}"#)] {
+                let v = parse(&doc).unwrap_or_else(|e| panic!("{doc:?}: {e}"));
+                let got = v.get("threads").unwrap_or(&v).as_f64().map(f64::to_bits);
+                assert_eq!(got, want, "{doc:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_on_cut_or_mutated_documents() {
+        let corpus = [
+            r#"{"design": {"preset": "dp_small", "seed": 7}, "flow": {"fast": true, "mode": "route", "threads": 2, "dp_net_weight": 2.5e0}, "label": "nightly \"a\"", "deadline_ms": 60000}"#,
+            r#"[[1, [2, [3, []]]], {"a": {"b": {"c": [null, true, false]}}}, -0.5e-3, {}]"#,
+            r#""escapes \" \\ \/ \b \f \n \r \t \u00e9 \u2192 α→""#,
+            r#"{"emoji": "\ud83d\ude00", "clef": "\uD834\uDD1E"}"#,
+        ];
+        const SUBSTITUTES: &[u8] = b" \"\\/[]{},:-+.019eEtnux\x01";
+        let (mut ok, mut err) = (0, 0);
+        let mut check = |text: &str| match std::panic::catch_unwind(|| parse(text)) {
+            Ok(Ok(_)) => ok += 1,
+            Ok(Err(_)) => err += 1,
+            Err(_) => panic!("parse panicked on {text:?}"),
+        };
+        for doc in corpus {
+            assert!(parse(doc).is_ok(), "corpus document must parse: {doc}");
+            for (i, c) in doc.char_indices() {
+                check(&doc[..i]);
+                for &sub in SUBSTITUTES {
+                    check(&format!(
+                        "{}{}{}",
+                        &doc[..i],
+                        sub as char,
+                        &doc[i + c.len_utf8()..]
+                    ));
+                }
+            }
+        }
+        assert!(ok > 0 && err > 0, "{ok} accepted, {err} rejected");
     }
 
     #[test]
