@@ -185,10 +185,7 @@ fn t2(mode: Mode) -> Exp {
     for name in suite(mode) {
         let d = gen(name);
         for rounds in [1usize, 2] {
-            let cfg = ExtractConfig {
-                rounds,
-                ..ExtractConfig::default()
-            };
+            let cfg = ExtractConfig { rounds };
             let r = extract(&d.netlist, &cfg);
             let m = metrics::score(&r.groups, &d.truth.groups, &d.netlist);
             t.row([

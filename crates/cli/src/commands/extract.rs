@@ -12,7 +12,6 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     let case = load_case(path)?;
     let config = ExtractConfig {
         rounds: args.number("rounds")?.unwrap_or(1),
-        ..ExtractConfig::default()
     };
 
     let result = extract(&case.netlist, &config);

@@ -22,12 +22,27 @@
 //! placement work.
 //!
 //! The term's weight follows a schedule: zero while the placement is still
-//! spreading (overflow above `activate_at`), then a gradient-balanced base
-//! weight ramped geometrically per outer iteration.
+//! spreading (overflow above [`ACTIVATE_AT`]), then a gradient-balanced
+//! base weight ramped geometrically per outer iteration ([`RAMP`], capped
+//! at [`MAX_RAMP`]).
 
 use sdp_geom::{GroupAxis, Point};
 use sdp_gp::ExtraTerm;
 use sdp_netlist::{DatapathGroup, Netlist};
+
+/// Overflow level below which the term activates.
+pub const ACTIVATE_AT: f64 = 0.6;
+
+/// Geometric ramp applied to the weight each outer iteration after
+/// activation.
+pub const RAMP: f64 = 1.4;
+
+/// Cap on the accumulated ramp factor.
+pub const MAX_RAMP: f64 = 12.0;
+
+/// Orientation switch hysteresis: the other axis must be better by this
+/// factor to flip the group.
+pub const HYSTERESIS: f64 = 0.8;
 
 /// Tuning for the alignment term.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,16 +50,6 @@ pub struct AlignConfig {
     /// User-facing strength multiplier (β). `0` disables alignment
     /// entirely — the F3 ablation sweeps this.
     pub beta: f64,
-    /// Overflow level below which the term activates.
-    pub activate_at: f64,
-    /// Geometric ramp applied to the weight each outer iteration after
-    /// activation.
-    pub ramp: f64,
-    /// Cap on the accumulated ramp factor.
-    pub max_ramp: f64,
-    /// Orientation switch hysteresis: the other axis must be better by
-    /// this factor to flip the group.
-    pub hysteresis: f64,
     /// Placement row height (sets the snapped bit-row pitch).
     pub row_height: f64,
 }
@@ -53,10 +58,6 @@ impl Default for AlignConfig {
     fn default() -> Self {
         AlignConfig {
             beta: 1.0,
-            activate_at: 0.6,
-            ramp: 1.4,
-            max_ramp: 12.0,
-            hysteresis: 0.8,
             row_height: 1.0,
         }
     }
@@ -262,7 +263,7 @@ impl AlignTerm {
                 continue;
             }
             let (fit_alt, res_alt) = self.fit_group(g, pos, alt_axis);
-            if !self.axis_allowed(gi, cur_axis) || res_alt < res_cur * self.config.hysteresis {
+            if !self.axis_allowed(gi, cur_axis) || res_alt < res_cur * HYSTERESIS {
                 self.fits[gi] = fit_alt;
                 self.groups[gi].axis = fit_alt.axis;
             } else {
@@ -311,11 +312,11 @@ impl ExtraTerm for AlignTerm {
     }
 
     fn begin_outer(&mut self, _outer: usize, overflow: f64, pos: &[Point]) {
-        if !self.active && overflow <= self.config.activate_at {
+        if !self.active && overflow <= ACTIVATE_AT {
             self.active = true;
         }
         if self.active {
-            self.ramp_accum = (self.ramp_accum * self.config.ramp).min(self.config.max_ramp);
+            self.ramp_accum = (self.ramp_accum * RAMP).min(MAX_RAMP);
         }
         self.prepare(pos);
     }

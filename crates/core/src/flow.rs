@@ -61,6 +61,13 @@ impl FlowMode {
 /// hundreds of orders of magnitude below that.
 pub const MAX_DP_NET_WEIGHT: f64 = 1e3;
 
+/// The largest accepted [`FlowConfig::refine_outers`] (the default is 8).
+/// Refinement restarts λ and doubles it every outer iteration, so on a
+/// design whose overflow never reaches exactly zero about a thousand
+/// iterations overflow λ to infinity and the density kernel fails; the
+/// cap keeps λ far below that.
+pub const MAX_REFINE_OUTERS: usize = 64;
+
 /// Configuration of the whole flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowConfig {
@@ -75,14 +82,13 @@ pub struct FlowConfig {
     pub structure_aware: bool,
     /// Snap groups onto aligned rows and keep them rigid afterwards
     /// (`true`, the maximal-regularity mode: perfectly aligned arrays at a
-    /// total-wirelength premium), or let the ordinary legalizer/detailed
-    /// placer handle group cells like any other cell, preserving alignment
-    /// only as well as the global placement baked it in (`false`, the
-    /// default: best wirelength trade-off). The F3 ablation sweeps both.
+    /// total-wirelength premium; detailed placement may slide a snapped
+    /// cell in x but never moves it off its row), or let the ordinary
+    /// legalizer/detailed placer handle group cells like any other cell,
+    /// preserving alignment only as well as the global placement baked it
+    /// in (`false`, the default: best wirelength trade-off). The F3
+    /// ablation sweeps both.
     pub rigid_groups: bool,
-    /// Constrain snapped group cells to their row during detailed
-    /// placement (they may slide in x, keeping the alignment intact).
-    pub lock_groups_in_detailed: bool,
     /// Weight multiplier applied (during global placement only) to nets
     /// with at least two pins inside one datapath group — the placer
     /// focuses on exactly the nets structure-aware placement targets.
@@ -93,6 +99,7 @@ pub struct FlowConfig {
     /// global placement converges: density pressure is already satisfied,
     /// so these iterations let the (fully ramped) alignment term tighten
     /// the arrays with the wirelength force as the only opposition.
+    /// Range: `0..=`[`MAX_REFINE_OUTERS`].
     pub refine_outers: usize,
     /// Detailed-placement passes (0 disables the phase).
     pub detailed_passes: usize,
@@ -120,7 +127,6 @@ impl Default for FlowConfig {
             },
             structure_aware: true,
             rigid_groups: false,
-            lock_groups_in_detailed: false,
             dp_net_weight: 2.0,
             refine_outers: 8,
             detailed_passes: 2,
@@ -150,7 +156,6 @@ impl FlowConfig {
     /// stay locked through detailed placement.
     pub fn rigid(mut self) -> Self {
         self.rigid_groups = true;
-        self.lock_groups_in_detailed = true;
         self.align.beta = 1.0;
         self
     }
@@ -292,7 +297,7 @@ impl StructurePlacer {
         let groups = if self.config.structure_aware {
             let raw = extract_observed(netlist, &self.config.extract, obs)?.groups;
             let max_rows = ((design.region().height() / design.row_height() / 3.0) as usize)
-                .max(self.config.extract.min_bits);
+                .max(sdp_extract::MIN_BITS);
             fold_groups_to_width(fold_groups(raw, max_rows), netlist, max_row_width)
         } else {
             Vec::new()
@@ -396,7 +401,6 @@ impl StructurePlacer {
             let inflate_cfg = InflateConfig {
                 hot_factor: 1.5,
                 budget: 0.25,
-                ..InflateConfig::default()
             };
             let spreader = GlobalPlacer::new(GpConfig {
                 max_outer: 6,
@@ -506,7 +510,6 @@ impl StructurePlacer {
         };
         let legal_options = LegalizeOptions {
             locked: locked.clone(),
-            ..LegalizeOptions::default()
         };
         let legal_stats = match self.config.legalizer {
             LegalizerKind::Tetris => legalize(netlist, design, placement, &legal_options),
@@ -527,11 +530,7 @@ impl StructurePlacer {
                 // Snapped group cells may still slide within their row —
                 // that preserves the alignment while recovering the x
                 // freedom the snap gave up.
-                row_locked: if self.config.lock_groups_in_detailed {
-                    locked
-                } else {
-                    HashSet::new()
-                },
+                row_locked: locked,
                 ..DetailedOptions::default()
             },
         );

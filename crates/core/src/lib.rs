@@ -44,14 +44,15 @@ pub mod flow;
 pub use align::{AlignConfig, AlignTerm};
 pub use flow::{
     FlowConfig, FlowMode, FlowOutput, FlowReport, LegalizerKind, PhaseTimes, StructurePlacer,
-    MAX_DP_NET_WEIGHT,
+    MAX_DP_NET_WEIGHT, MAX_REFINE_OUTERS,
 };
 // Re-exported so downstream crates (serve, bench) can name every type
-// that appears in `FlowConfig` — the serve crate canonicalizes the full
-// resolved config for content-address hashing — without depending on
-// `sdp-gp`/`sdp-extract` directly.
-pub use sdp_extract::ExtractConfig;
-pub use sdp_gp::{GpConfig, WirelengthModel, MAX_THREADS};
+// that appears in `FlowConfig`, and the flow constants its canonical form
+// records — the serve crate canonicalizes the full resolved config for
+// content-address hashing — without depending on `sdp-gp`/`sdp-extract`
+// directly.
+pub use sdp_extract::{ExtractConfig, MAX_NET_DEGREE, MIN_BITS, MIN_COVERAGE, MIN_STAGES};
+pub use sdp_gp::{GpConfig, WirelengthModel, LAMBDA_FACTOR, MAX_THREADS};
 pub use sdp_progress::{
     CancelToken, Cancelled, Clock, ManualClock, MonotonicClock, NullSink, Observer, Phase,
     ProgressSink, TokenSink,

@@ -1,7 +1,7 @@
 //! Seed detection and column growth: assembling `bits × stages` groups.
 
 use crate::relations::Relations;
-use crate::ExtractConfig;
+use crate::{MIN_BITS, MIN_COVERAGE, MIN_STAGES};
 use sdp_netlist::{CellId, DatapathGroup, Netlist};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -20,14 +20,14 @@ struct Seed {
 
 /// Groups cells by signature, keeping classes of plausible bit width.
 /// Keyed by a `BTreeMap` so class order never depends on hash seeds.
-fn classes_of(netlist: &Netlist, sigs: &[u64], min_bits: usize) -> Vec<(u64, Vec<CellId>)> {
+fn classes_of(netlist: &Netlist, sigs: &[u64]) -> Vec<(u64, Vec<CellId>)> {
     let mut map: BTreeMap<u64, Vec<CellId>> = BTreeMap::new();
     for c in netlist.movable_ids() {
         map.entry(sigs[c.ix()]).or_default().push(c);
     }
     let mut classes: Vec<(u64, Vec<CellId>)> = map
         .into_iter()
-        .filter(|(_, v)| v.len() >= min_bits && v.len() <= 4096)
+        .filter(|(_, v)| v.len() >= MIN_BITS && v.len() <= 4096)
         .collect();
     // Deterministic order: larger classes first, ties by first member.
     for (_, v) in &mut classes {
@@ -41,7 +41,7 @@ fn classes_of(netlist: &Netlist, sigs: &[u64], min_bits: usize) -> Vec<(u64, Vec
 /// sink of a sink of `u` lands back in the class. Cells with a unique
 /// successor and unique predecessor form paths; each sufficiently long
 /// path becomes a bit-ordered seed.
-fn chain_paths(class: &[CellId], rel: &Relations, min_bits: usize) -> Vec<Vec<CellId>> {
+fn chain_paths(class: &[CellId], rel: &Relations) -> Vec<Vec<CellId>> {
     let in_class: HashSet<CellId> = class.iter().copied().collect();
     let mut next: HashMap<CellId, CellId> = HashMap::new();
     let mut prev_count: HashMap<CellId, usize> = HashMap::new();
@@ -85,7 +85,7 @@ fn chain_paths(class: &[CellId], rel: &Relations, min_bits: usize) -> Vec<Vec<Ce
             path.push(nxt);
             cur = nxt;
         }
-        if path.len() >= min_bits {
+        if path.len() >= MIN_BITS {
             paths.push(path);
         }
     }
@@ -194,7 +194,6 @@ fn expand_slot(
     netlist: &Netlist,
     sigs: &[u64],
     taken: &HashSet<CellId>,
-    min_coverage: f64,
 ) -> Option<Column> {
     let mut cand: Vec<(usize, CellId)> = Vec::new();
     let mut present = 0usize;
@@ -207,7 +206,7 @@ fn expand_slot(
             }
         }
     }
-    select_dominant(cand, present, sigs, col.len(), min_coverage)
+    select_dominant(cand, present, sigs, col.len())
 }
 
 /// Expands `col` through the output side: per-bit sinks grouped by
@@ -218,7 +217,6 @@ fn expand_sinks(
     netlist: &Netlist,
     sigs: &[u64],
     taken: &HashSet<CellId>,
-    min_coverage: f64,
 ) -> Vec<Column> {
     // Collect (bit, sink) pairs per signature; BTreeMap iteration yields
     // signatures in sorted order, independent of hash seeds.
@@ -235,7 +233,7 @@ fn expand_sinks(
     }
     let mut out = Vec::new();
     for (_, cand) in by_sig {
-        if let Some(col) = select_injective(cand, present, col.len(), min_coverage) {
+        if let Some(col) = select_injective(cand, present, col.len()) {
             out.push(col);
         }
     }
@@ -249,7 +247,6 @@ fn select_dominant(
     present: usize,
     sigs: &[u64],
     bits: usize,
-    min_coverage: f64,
 ) -> Option<Column> {
     if cand.is_empty() {
         return None;
@@ -263,17 +260,12 @@ fn select_dominant(
         .into_iter()
         .filter(|&(_, c)| sigs[c.ix()] == best_sig)
         .collect();
-    select_injective(filtered, present, bits, min_coverage)
+    select_injective(filtered, present, bits)
 }
 
 /// Builds a column from `(bit, cell)` pairs if the map is injective on both
 /// sides and covers enough bits.
-fn select_injective(
-    cand: Vec<(usize, CellId)>,
-    present: usize,
-    bits: usize,
-    min_coverage: f64,
-) -> Option<Column> {
+fn select_injective(cand: Vec<(usize, CellId)>, present: usize, bits: usize) -> Option<Column> {
     let mut col: Column = vec![None; bits];
     let mut used: HashSet<CellId> = HashSet::new();
     let mut filled = 0usize;
@@ -284,7 +276,7 @@ fn select_injective(
         col[bit] = Some(c);
         filled += 1;
     }
-    if (filled as f64) < min_coverage * present.max(1) as f64 || filled < 2 {
+    if (filled as f64) < MIN_COVERAGE * present.max(1) as f64 || filled < 2 {
         return None;
     }
     Some(col)
@@ -296,15 +288,14 @@ pub fn grow_groups(
     netlist: &Netlist,
     sigs: &[u64],
     rel: &Relations,
-    cfg: &ExtractConfig,
 ) -> (Vec<DatapathGroup>, usize) {
-    let classes = classes_of(netlist, sigs, cfg.min_bits);
+    let classes = classes_of(netlist, sigs);
     let num_classes = classes.len();
 
     // Seeds: chain paths first (intrinsic bit order), then whole classes.
     let mut seeds: Vec<Seed> = Vec::new();
     for (_, class) in &classes {
-        for path in chain_paths(class, rel, cfg.min_bits) {
+        for path in chain_paths(class, rel) {
             seeds.push(Seed {
                 cells: path,
                 chained: true,
@@ -336,7 +327,7 @@ pub fn grow_groups(
             .copied()
             .filter(|c| !claimed.contains(c))
             .collect();
-        if free.len() < cfg.min_bits || free.len() * 5 < seed.cells.len() * 4 {
+        if free.len() < MIN_BITS || free.len() * 5 < seed.cells.len() * 4 {
             continue; // mostly claimed already
         }
         let bits = free.len();
@@ -362,9 +353,7 @@ pub fn grow_groups(
                 if columns.len() >= MAX_STAGES {
                     break;
                 }
-                if let Some(new_col) =
-                    expand_slot(&col, slot, rel, netlist, sigs, &taken, cfg.min_coverage)
-                {
+                if let Some(new_col) = expand_slot(&col, slot, rel, netlist, sigs, &taken) {
                     for c in new_col.iter().flatten() {
                         taken.insert(*c);
                     }
@@ -373,7 +362,7 @@ pub fn grow_groups(
                 }
             }
             // Sink expansions.
-            for new_col in expand_sinks(&col, rel, netlist, sigs, &taken, cfg.min_coverage) {
+            for new_col in expand_sinks(&col, rel, netlist, sigs, &taken) {
                 if columns.len() >= MAX_STAGES {
                     break;
                 }
@@ -386,7 +375,7 @@ pub fn grow_groups(
         }
 
         let stages = columns.len();
-        let min_stages = if seed.chained { 1 } else { cfg.min_stages };
+        let min_stages = if seed.chained { 1 } else { MIN_STAGES };
         if stages < min_stages {
             continue;
         }
@@ -416,10 +405,10 @@ mod tests {
         let (nl, truth) = lone_adder(8);
         let sigs = signatures(&nl, 2, 6);
         let rel = Relations::build(&nl, 6);
-        let classes = classes_of(&nl, &sigs, 4);
+        let classes = classes_of(&nl, &sigs);
         let mut found = false;
         for (_, class) in &classes {
-            for path in chain_paths(class, &rel, 4) {
+            for path in chain_paths(class, &rel) {
                 // A chain must visit consecutive bits of one truth stage.
                 let g = &truth[0];
                 let stage_of = |c: CellId| -> Option<(usize, usize)> {
@@ -514,10 +503,10 @@ mod tests {
     #[test]
     fn columns_reject_non_injective_maps() {
         let cand = vec![(0, CellId::new(5)), (1, CellId::new(5))];
-        assert!(select_injective(cand, 2, 4, 0.5).is_none());
+        assert!(select_injective(cand, 2, 4).is_none());
         let cand = vec![(0, CellId::new(5)), (0, CellId::new(6))];
-        assert!(select_injective(cand, 2, 4, 0.5).is_none());
+        assert!(select_injective(cand, 2, 4).is_none());
         let ok = vec![(0, CellId::new(5)), (1, CellId::new(6))];
-        assert!(select_injective(ok, 2, 4, 0.5).is_some());
+        assert!(select_injective(ok, 2, 4).is_some());
     }
 }

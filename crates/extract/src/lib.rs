@@ -31,9 +31,9 @@
 //! 4. **Column growth** ([`grow`]) — from each seed, neighbouring columns
 //!    are annexed through injective per-slot driver/sink maps, assembling
 //!    the full `bits × stages` matrix.
-//! 5. **Filtering** — candidate groups below the minimum bit width or
-//!    stage count are discarded (this is what keeps random glue logic from
-//!    producing false structures).
+//! 5. **Filtering** — candidate groups below the minimum bit width
+//!    ([`MIN_BITS`]) or stage count ([`MIN_STAGES`]) are discarded (this is
+//!    what keeps random glue logic from producing false structures).
 //!
 //! Extraction quality against generator ground truth is measured by
 //! [`metrics`] (benchmark table T2).
@@ -59,6 +59,21 @@ pub mod signature;
 use sdp_netlist::{DatapathGroup, Netlist};
 use sdp_progress::{Cancelled, Observer, Phase};
 
+/// Nets with more pins than this carry no bit-level structure (clock,
+/// reset, tie cells) and are ignored by the signatures and relations.
+pub const MAX_NET_DEGREE: usize = 6;
+
+/// Minimum bit width for a group to be kept.
+pub const MIN_BITS: usize = 4;
+
+/// Minimum stage count for a *fallback-seeded* group to be kept
+/// (chain-seeded groups are trusted at any stage count).
+pub const MIN_STAGES: usize = 2;
+
+/// Column coverage: a grown column must fill at least this fraction of the
+/// group's bit rows.
+pub const MIN_COVERAGE: f64 = 0.75;
+
 /// Tuning knobs for extraction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExtractConfig {
@@ -67,28 +82,11 @@ pub struct ExtractConfig {
     /// uniform towers, one round is the sweet spot on the whole suite
     /// (measured in table T2).
     pub rounds: usize,
-    /// Nets with more pins than this carry no bit-level structure
-    /// (clock, reset, tie cells) and are ignored by the relations.
-    pub max_net_degree: usize,
-    /// Minimum bit width for a group to be kept.
-    pub min_bits: usize,
-    /// Minimum stage count for a *fallback-seeded* group to be kept
-    /// (chain-seeded groups are trusted at any stage count).
-    pub min_stages: usize,
-    /// Column coverage: a grown column must fill at least this fraction of
-    /// the group's bit rows.
-    pub min_coverage: f64,
 }
 
 impl Default for ExtractConfig {
     fn default() -> Self {
-        ExtractConfig {
-            rounds: 1,
-            max_net_degree: 6,
-            min_bits: 4,
-            min_stages: 2,
-            min_coverage: 0.75,
-        }
+        ExtractConfig { rounds: 1 }
     }
 }
 
@@ -129,13 +127,13 @@ pub fn extract_observed(
 ) -> Result<ExtractionResult, Cancelled> {
     let start = obs.now();
     obs.checkpoint()?;
-    let sigs = signature::signatures(netlist, config.rounds, config.max_net_degree);
+    let sigs = signature::signatures(netlist, config.rounds, MAX_NET_DEGREE);
     obs.report(Phase::Extract, 0.4);
     obs.checkpoint()?;
-    let rel = relations::Relations::build(netlist, config.max_net_degree);
+    let rel = relations::Relations::build(netlist, MAX_NET_DEGREE);
     obs.report(Phase::Extract, 0.7);
     obs.checkpoint()?;
-    let (groups, num_classes) = grow::grow_groups(netlist, &sigs, &rel, config);
+    let (groups, num_classes) = grow::grow_groups(netlist, &sigs, &rel);
     obs.report(Phase::Extract, 1.0);
     Ok(ExtractionResult {
         groups,
@@ -151,10 +149,9 @@ mod tests {
 
     #[test]
     fn default_config_is_sane() {
-        let c = ExtractConfig::default();
-        assert!(c.rounds >= 1);
-        assert!(c.min_bits >= 2);
-        assert!(c.min_coverage > 0.0 && c.min_coverage <= 1.0);
+        assert!(ExtractConfig::default().rounds >= 1);
+        const { assert!(MIN_BITS >= 2) };
+        const { assert!(MIN_COVERAGE > 0.0 && MIN_COVERAGE <= 1.0) };
     }
 
     #[test]

@@ -54,5 +54,5 @@ pub mod wirelength;
 pub use density::DensityModel;
 pub use exec::{Executor, MAX_THREADS};
 pub use nesterov::{minimize_nesterov, NesterovOptions, Objective, SolveResult};
-pub use placer::{ExtraTerm, GlobalPlacer, GpConfig, IterationTrace, PlaceStats};
+pub use placer::{ExtraTerm, GlobalPlacer, GpConfig, IterationTrace, PlaceStats, LAMBDA_FACTOR};
 pub use wirelength::{eval_wirelength_with, hpwl, WirelengthModel};

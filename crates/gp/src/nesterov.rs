@@ -43,38 +43,38 @@ pub struct SolveResult {
     pub converged: bool,
 }
 
+/// Stop when the gradient's RMS norm falls below this.
+const GRAD_TOL: f64 = 1e-6;
+
+/// A predicted step is accepted when it is at least this fraction of the
+/// step just tried (the ePlace back-tracking criterion).
+const ACCEPT_RATIO: f64 = 0.95;
+
+/// Maximum step re-predictions per iteration.
+const MAX_BACKTRACKS: usize = 6;
+
+/// Consecutive stalled iterations that end the run.
+const STALL_WINDOW: usize = 3;
+
 /// Options for [`minimize_nesterov`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NesterovOptions {
     /// Maximum Nesterov iterations.
     pub max_iters: usize,
-    /// Stop when the gradient's RMS norm falls below this.
-    pub grad_tol: f64,
     /// Initial trial step as a distance: the first step moves cells about
     /// `step_hint` units (the caller usually passes a bin-width fraction).
     pub step_hint: f64,
-    /// A predicted step is accepted when it is at least this fraction of
-    /// the step just tried (the ePlace back-tracking criterion).
-    pub accept_ratio: f64,
-    /// Maximum step re-predictions per iteration.
-    pub max_backtracks: usize,
-    /// Stop when the relative objective change stays below this for
-    /// [`NesterovOptions::stall_window`] consecutive iterations.
+    /// Stop when the relative objective change stays below this for three
+    /// consecutive iterations.
     pub stall_tol: f64,
-    /// Consecutive stalled iterations that end the run.
-    pub stall_window: usize,
 }
 
 impl Default for NesterovOptions {
     fn default() -> Self {
         NesterovOptions {
             max_iters: 50,
-            grad_tol: 1e-6,
             step_hint: 1.0,
-            accept_ratio: 0.95,
-            max_backtracks: 6,
             stall_tol: 1e-4,
-            stall_window: 3,
         }
     }
 }
@@ -140,9 +140,10 @@ fn precondition(out: &mut [Point], g: &[Point], h: &[f64]) {
 /// The step length is predicted from the local Lipschitz constant
 /// (`|Δv| / |Δĝ|` between consecutive reference points) and re-predicted
 /// at the trial point until it stabilizes (the ePlace back-tracking
-/// rule, [`NesterovOptions::accept_ratio`]) — usually 1–2 objective
-/// evaluations per iteration. Momentum restarts (the reference sequence
-/// collapses onto the major sequence) whenever the objective increases.
+/// rule: a prediction at least 95% of the step just tried is accepted) —
+/// usually 1–2 objective evaluations per iteration. Momentum restarts
+/// (the reference sequence collapses onto the major sequence) whenever
+/// the objective increases.
 ///
 /// On return `x` holds the best major solution; the reported value is
 /// the objective at the last accepted reference point.
@@ -186,7 +187,7 @@ pub fn minimize_nesterov<O: Objective>(
 
     for iter in 0..opts.max_iters {
         let gnorm = rms(exec, &grad);
-        if gnorm < opts.grad_tol {
+        if gnorm < GRAD_TOL {
             x.copy_from_slice(&u);
             return SolveResult {
                 value,
@@ -202,7 +203,7 @@ pub fn minimize_nesterov<O: Objective>(
         // Trial step + Lipschitz re-prediction (ePlace back-tracking).
         let mut accepted_alpha = alpha;
         let mut value_new = value;
-        for bt in 0..opts.max_backtracks.max(1) {
+        for bt in 0..MAX_BACKTRACKS {
             for i in 0..n {
                 u_new[i] = v[i] - pg[i] * accepted_alpha;
             }
@@ -219,7 +220,7 @@ pub fn minimize_nesterov<O: Objective>(
             let dv = dist(exec, &v_new, &v);
             let dg = dist(exec, &pg_new, &pg);
             let predicted = if dg > 1e-18 { dv / dg } else { accepted_alpha };
-            if predicted >= opts.accept_ratio * accepted_alpha || bt + 1 == opts.max_backtracks {
+            if predicted >= ACCEPT_RATIO * accepted_alpha || bt + 1 == MAX_BACKTRACKS {
                 accepted_alpha = predicted.max(1e-18);
                 break;
             }
@@ -242,7 +243,7 @@ pub fn minimize_nesterov<O: Objective>(
 
         if rel < opts.stall_tol {
             stalled += 1;
-            if stalled >= opts.stall_window {
+            if stalled >= STALL_WINDOW {
                 x.copy_from_slice(&u);
                 return SolveResult {
                     value,
@@ -335,7 +336,6 @@ mod tests {
                 max_iters: 300,
                 step_hint: 10.0,
                 stall_tol: 0.0,
-                ..NesterovOptions::default()
             },
             &seq(),
         );
@@ -358,7 +358,6 @@ mod tests {
                 max_iters: 500,
                 step_hint: 0.5,
                 stall_tol: 0.0,
-                ..NesterovOptions::default()
             },
             &seq(),
         );
@@ -376,7 +375,6 @@ mod tests {
                 max_iters: 300,
                 step_hint: 2.0,
                 stall_tol: 0.0,
-                ..NesterovOptions::default()
             },
             &seq(),
         );
@@ -420,7 +418,6 @@ mod tests {
                 max_iters: 500,
                 step_hint: 10.0,
                 stall_tol: 0.0,
-                ..NesterovOptions::default()
             },
             &seq(),
         );
@@ -481,7 +478,6 @@ mod tests {
                     max_iters: 40,
                     step_hint: 25.0,
                     stall_tol: 0.0,
-                    ..NesterovOptions::default()
                 },
                 &exec,
             );

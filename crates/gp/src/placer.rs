@@ -28,6 +28,9 @@ pub trait ExtraTerm {
     fn begin_outer(&mut self, _outer: usize, _overflow: f64, _pos: &[Point]) {}
 }
 
+/// λ (density-weight) multiplier per outer iteration.
+pub const LAMBDA_FACTOR: f64 = 2.0;
+
 /// Global placement configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpConfig {
@@ -41,8 +44,6 @@ pub struct GpConfig {
     pub max_outer: usize,
     /// Nesterov iterations per outer iteration.
     pub inner_iters: usize,
-    /// λ multiplier per outer iteration.
-    pub lambda_factor: f64,
     /// Bin-grid resolution per axis; `None` = automatic.
     pub bins: Option<usize>,
     /// Seed for the initial-placement jitter.
@@ -64,7 +65,6 @@ impl Default for GpConfig {
             target_overflow: 0.12,
             max_outer: 24,
             inner_iters: 60,
-            lambda_factor: 2.0,
             bins: None,
             seed: 1,
             cluster_threshold: 12_000,
@@ -407,7 +407,7 @@ impl GlobalPlacer {
             if overflow <= self.config.target_overflow {
                 break;
             }
-            lambda *= self.config.lambda_factor;
+            lambda *= LAMBDA_FACTOR;
             gamma = (gamma * 0.75).max(1.0);
         }
         obs.report(Phase::Global, 1.0);

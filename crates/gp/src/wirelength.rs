@@ -93,12 +93,12 @@ pub fn eval_wirelength(
 /// Like [`eval_wirelength`], evaluated across `exec`'s thread pool.
 ///
 /// Nets are split into contiguous index chunks (boundaries depend only on
-/// the net count, see [`chunk_ranges`]); each chunk records its per-net
-/// values and per-pin gradient contributions, and the caller folds those
-/// records in net order. Every floating-point operation therefore happens
-/// in exactly the sequence the sequential path uses, making the result —
-/// total and gradient — bitwise identical to [`eval_wirelength`] at any
-/// thread count.
+/// the net count, see [`chunk_ranges`](crate::exec::chunk_ranges)); each
+/// chunk records its per-net values and per-pin gradient contributions,
+/// and the caller folds those records in net order. Every floating-point
+/// operation therefore happens in exactly the sequence the sequential path
+/// uses, making the result — total and gradient — bitwise identical to
+/// [`eval_wirelength`] at any thread count.
 pub fn eval_wirelength_with(
     model: WirelengthModel,
     netlist: &Netlist,

@@ -9,7 +9,7 @@
 //! the greedy Tetris sweep, Abacus trades runtime for noticeably lower
 //! displacement on dense rows.
 
-use crate::tetris::{LegalStats, LegalizeOptions};
+use crate::tetris::{LegalStats, LegalizeOptions, Y_WEIGHT};
 use sdp_geom::Point;
 use sdp_netlist::{CellId, Design, Netlist, Placement};
 
@@ -234,7 +234,7 @@ pub fn legalize_abacus(
         for dist in 0..rows.len() {
             if let Some((cost, _, _)) = best {
                 let dy = dist as f64 * row_height;
-                if dy * dy * options.y_weight >= cost {
+                if dy * dy * Y_WEIGHT >= cost {
                     break;
                 }
             }
@@ -360,7 +360,6 @@ mod tests {
             &mut pl,
             &LegalizeOptions {
                 locked: locked.clone(),
-                ..LegalizeOptions::default()
             },
         );
         assert_eq!(stats.failed, 0);

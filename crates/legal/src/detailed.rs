@@ -5,17 +5,15 @@ use sdp_geom::{BBox, Point};
 use sdp_netlist::{CellId, Design, NetId, Netlist, Placement};
 use std::collections::HashSet;
 
+/// Horizontal search window (in site widths) around a cell's optimal
+/// position when looking for gaps and swap partners.
+const WINDOW_SITES: f64 = 24.0;
+
 /// Options for [`detailed_place`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetailedOptions {
     /// Improvement passes over all cells.
     pub passes: usize,
-    /// Horizontal search window (in site widths) around a cell's optimal
-    /// position when looking for gaps and swap partners.
-    pub window: f64,
-    /// Cells that must not move (datapath arrays when structure
-    /// preservation is on).
-    pub locked: HashSet<CellId>,
     /// Cells that may move only *within their current row* (aligned
     /// datapath cells: sliding in x preserves row alignment, changing
     /// rows would break it).
@@ -30,8 +28,6 @@ impl Default for DetailedOptions {
     fn default() -> Self {
         DetailedOptions {
             passes: 2,
-            window: 24.0,
-            locked: HashSet::new(),
             row_locked: HashSet::new(),
             reorder_windows: true,
         }
@@ -204,12 +200,9 @@ pub fn detailed_place(
         hpwl_after: hpwl_before,
     };
     let site = design.rows().first().map_or(1.0, |r| r.site_width);
-    let window = options.window * site;
+    let window = WINDOW_SITES * site;
 
-    let order: Vec<CellId> = netlist
-        .movable_ids()
-        .filter(|c| !options.locked.contains(c))
-        .collect();
+    let order: Vec<CellId> = netlist.movable_ids().collect();
 
     for _pass in 0..options.passes {
         let mut improved = false;
@@ -298,7 +291,6 @@ pub fn detailed_place(
                 .filter(|&p| {
                     p != c
                         && !netlist.cell(p).fixed
-                        && !options.locked.contains(&p)
                         && (netlist.cell_width(p) - w).abs() < 1e-9
                         // A row-locked partner may only swap within its
                         // own row; the candidate pool is drawn from row
@@ -343,7 +335,7 @@ pub fn detailed_place(
         }
     }
     if options.reorder_windows && options.passes > 0 {
-        stats.reorders = reorder_pass(netlist, design, placement, &mut occ, options);
+        stats.reorders = reorder_pass(netlist, design, placement, &mut occ);
     }
     stats.hpwl_after = placement.total_hpwl(netlist);
     stats
@@ -369,7 +361,6 @@ fn reorder_pass(
     design: &Design,
     placement: &mut Placement,
     occ: &mut Occupancy,
-    options: &DetailedOptions,
 ) -> usize {
     let mut accepted = 0usize;
     for ri in 0..design.rows().len() {
@@ -383,10 +374,7 @@ fn reorder_pass(
             let trio = [row[idx].1, row[idx + 1].1, row[idx + 2].1];
             let [t0, t1, t2] = trio;
             idx += 1;
-            if trio
-                .iter()
-                .any(|c| netlist.cell(*c).fixed || options.locked.contains(c))
-            {
+            if trio.iter().any(|c| netlist.cell(*c).fixed) {
                 continue;
             }
             let x0 = placement.cell_rect(netlist, t0).x1();
@@ -462,22 +450,6 @@ mod tests {
         assert!(stats.moves + stats.swaps > 0, "should find improvements");
         let violations = check_legal(&nl, &design, &pl);
         assert!(violations.is_empty(), "{violations:?}");
-    }
-
-    #[test]
-    fn locked_cells_stay_put() {
-        let (nl, design, mut pl) = legal_tiny(2);
-        let locked: HashSet<CellId> = nl.movable_ids().take(10).collect();
-        let before: Vec<Point> = locked.iter().map(|&c| pl.get(c)).collect();
-        let options = DetailedOptions {
-            locked: locked.clone(),
-            ..DetailedOptions::default()
-        };
-        detailed_place(&nl, &design, &mut pl, &options);
-        for (&c, &p) in locked.iter().zip(&before) {
-            assert_eq!(pl.get(c), p);
-        }
-        assert!(check_legal(&nl, &design, &pl).is_empty());
     }
 
     #[test]

@@ -5,24 +5,17 @@ use sdp_geom::Point;
 use sdp_netlist::{CellId, Design, Netlist, Placement};
 use std::collections::HashSet;
 
+/// Relative weight of vertical displacement in the row-choice cost of
+/// both legalizers (vertical moves cross routing rows and are usually
+/// worse).
+pub(crate) const Y_WEIGHT: f64 = 2.0;
+
 /// Options for [`legalize`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LegalizeOptions {
-    /// Relative weight of vertical displacement in the row-choice cost
-    /// (vertical moves cross routing rows and are usually worse).
-    pub y_weight: f64,
     /// Cells that must not be moved; they become blockages. Pre-placed
     /// datapath arrays and macros go here.
     pub locked: HashSet<CellId>,
-}
-
-impl Default for LegalizeOptions {
-    fn default() -> Self {
-        LegalizeOptions {
-            y_weight: 2.0,
-            locked: HashSet::new(),
-        }
-    }
 }
 
 /// Result of a legalization run.
@@ -44,7 +37,7 @@ pub struct LegalStats {
 /// Fixed cells and `options.locked` cells are treated as blockages where
 /// they overlap the core region. Cells are processed in ascending x order
 /// (the classic Tetris sweep) and each claims the free position minimizing
-/// `|Δx| + y_weight·|Δy|`.
+/// `|Δx| + 2·|Δy|`.
 pub fn legalize(
     netlist: &Netlist,
     design: &Design,
@@ -104,7 +97,7 @@ pub fn legalize(
         let mut best: Option<(f64, usize)> = None;
         for &ri in &row_ix {
             let row = &rows[ri];
-            let dy = (row.y + row.height / 2.0 - target.y).abs() * options.y_weight;
+            let dy = (row.y + row.height / 2.0 - target.y).abs() * Y_WEIGHT;
             if let Some((cost, _)) = best {
                 if dy >= cost {
                     break; // rows only get farther from here on
@@ -187,7 +180,6 @@ mod tests {
         }
         let options = LegalizeOptions {
             locked: locked_ids.iter().copied().collect(),
-            ..LegalizeOptions::default()
         };
         let before: Vec<Point> = locked_ids.iter().map(|&c| pl.get(c)).collect();
         let stats = legalize(&nl, &design, &mut pl, &options);

@@ -3,7 +3,7 @@
 //!
 //! Every rule is named and allowlistable: a site is suppressed by a
 //! comment `// sdp-lint: allow(<rule-name>) -- <reason>` on the same line
-//! or up to [`MARKER_WINDOW`] lines above it. A marker without a reason
+//! or up to five lines above it (`MARKER_WINDOW`). A marker without a reason
 //! does **not** suppress — the reason is the audit trail.
 
 use crate::lexer::{clean, tokenize, CleanFile, Tok};

@@ -25,32 +25,32 @@ const CELL_CHUNK: usize = 4096;
 /// Bins per fixed chunk in the demand-statistics reduction.
 const BIN_CHUNK: usize = 8192;
 
+/// Maximum per-round multiplicative growth of one cell's factor (reached
+/// when a bin is at ≥ 2× the hotspot threshold).
+const MAX_GROWTH: f64 = 0.25;
+
+/// Hard cap on any single cell's accumulated inflation factor.
+const CELL_CAP: f64 = 2.0;
+
+/// Per-round decay of the factor of a cell outside every hotspot:
+/// `f ← 1 + (f − 1) · DECAY`.
+const DECAY: f64 = 0.85;
+
 /// Tuning knobs of one inflation round.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InflateConfig {
     /// Bins with demand above `hot_factor × mean demand` are hotspots.
     pub hot_factor: f64,
-    /// Maximum per-round multiplicative growth of one cell's factor
-    /// (reached when a bin is at ≥ 2× the hotspot threshold).
-    pub max_growth: f64,
-    /// Hard cap on any single cell's accumulated inflation factor.
-    pub cell_cap: f64,
     /// Total-inflation budget: the virtual area added across all cells
     /// may not exceed this fraction of the total movable area.
     pub budget: f64,
-    /// Per-round decay of the factor of a cell outside every hotspot:
-    /// `f ← 1 + (f − 1) · decay`.
-    pub decay: f64,
 }
 
 impl Default for InflateConfig {
     fn default() -> Self {
         InflateConfig {
             hot_factor: 2.0,
-            max_growth: 0.25,
-            cell_cap: 2.0,
             budget: 0.15,
-            decay: 0.85,
         }
     }
 }
@@ -141,10 +141,10 @@ pub fn inflate_cells(
             let f = if d > hot {
                 // Utilization-weighted growth, saturating at 2× the
                 // hotspot threshold, capped per cell.
-                let grow = 1.0 + config.max_growth * ((d / hot - 1.0).min(1.0));
-                (old * grow).min(config.cell_cap)
+                let grow = 1.0 + MAX_GROWTH * ((d / hot - 1.0).min(1.0));
+                (old * grow).min(CELL_CAP)
             } else {
-                1.0 + (old - 1.0) * config.decay
+                1.0 + (old - 1.0) * DECAY
             };
             if f > old {
                 out.grown += 1;
@@ -215,7 +215,7 @@ mod tests {
         let exec = Executor::new(1);
         let stats = inflate_cells(&nl, &pl, &grid, &demand, &cfg, &mut factors, &exec);
         assert!(stats.grown > 0, "a stacked placement must inflate");
-        assert!(factors.iter().all(|&f| (1.0..=cfg.cell_cap).contains(&f)));
+        assert!(factors.iter().all(|&f| (1.0..=CELL_CAP).contains(&f)));
         assert!(stats.inflated_area_frac <= cfg.budget + 1e-12);
         // The budget is respected against the real area ledger.
         let extra: f64 = nl

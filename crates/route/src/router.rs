@@ -85,7 +85,7 @@ pub fn route(
 }
 
 /// [`route`] with progress reporting and cooperative cancellation:
-/// `obs` is polled every [`CHECKPOINT_STRIDE`] segments and at every
+/// `obs` is polled every 256 segments (`CHECKPOINT_STRIDE`) and at every
 /// rip-up & reroute iteration boundary, and [`Phase::Route`] progress is
 /// reported against the configured `rrr_iters` maximum. On
 /// `Err(Cancelled)` no partial report escapes.

@@ -32,7 +32,7 @@ pub fn rudy_map(
 }
 
 /// [`rudy_map`] with the reduction parallelized over `exec` under the
-/// fixed-chunk discipline: nets are split into [`NET_CHUNK`]-sized chunks,
+/// fixed-chunk discipline: nets are split into 2048-net chunks (`NET_CHUNK`),
 /// each chunk accumulates a private demand map, and the partial maps are
 /// summed in chunk order — the result is bitwise identical to the
 /// sequential map at every thread count.

@@ -24,10 +24,19 @@
 //!
 //! Every struct is exhaustively destructured: adding a field to any
 //! config type breaks this module's build until the author decides
-//! whether the field is result-affecting.
+//! whether the field is result-affecting. Some keys name values that are
+//! constants in the flow (λ growth, the extraction thresholds, the
+//! alignment schedule) and are filled from those constants, and
+//! `lock_groups_in_detailed` is filled from `rigid_groups`, which decides
+//! it: keeping the keys keeps every content address, warm cache and
+//! persisted log valid.
 
 use crate::spec::{CaseSource, JobSpec};
-use sdp_core::{AlignConfig, ExtractConfig, FlowConfig, GpConfig, LegalizerKind, WirelengthModel};
+use sdp_core::align::{ACTIVATE_AT, HYSTERESIS, MAX_RAMP, RAMP};
+use sdp_core::{
+    AlignConfig, ExtractConfig, FlowConfig, GpConfig, LegalizerKind, WirelengthModel,
+    LAMBDA_FACTOR, MAX_NET_DEGREE, MIN_BITS, MIN_COVERAGE, MIN_STAGES,
+};
 use sdp_dpgen::GenConfig;
 use sdp_json::Json;
 
@@ -104,7 +113,6 @@ fn canonical_flow(flow: &FlowConfig) -> Json {
         align,
         structure_aware,
         rigid_groups,
-        lock_groups_in_detailed,
         dp_net_weight,
         refine_outers,
         detailed_passes,
@@ -125,10 +133,7 @@ fn canonical_flow(flow: &FlowConfig) -> Json {
             }),
         ),
         ("mode", Json::str(mode.name())),
-        (
-            "lock_groups_in_detailed",
-            Json::Bool(*lock_groups_in_detailed),
-        ),
+        ("lock_groups_in_detailed", Json::Bool(*rigid_groups)),
         ("refine_outers", Json::num(*refine_outers as f64)),
         ("rigid_groups", Json::Bool(*rigid_groups)),
         ("structure_aware", Json::Bool(*structure_aware)),
@@ -142,7 +147,6 @@ fn canonical_gp(gp: &GpConfig) -> Json {
         target_overflow,
         max_outer,
         inner_iters,
-        lambda_factor,
         bins,
         seed,
         cluster_threshold,
@@ -160,7 +164,7 @@ fn canonical_gp(gp: &GpConfig) -> Json {
         ),
         ("cluster_threshold", Json::num(*cluster_threshold as f64)),
         ("inner_iters", Json::num(*inner_iters as f64)),
-        ("lambda_factor", Json::num(*lambda_factor)),
+        ("lambda_factor", Json::num(LAMBDA_FACTOR)),
         ("max_outer", Json::num(*max_outer as f64)),
         (
             "model",
@@ -181,37 +185,24 @@ fn canonical_gp(gp: &GpConfig) -> Json {
 }
 
 fn canonical_extract(e: &ExtractConfig) -> Json {
-    let ExtractConfig {
-        rounds,
-        max_net_degree,
-        min_bits,
-        min_stages,
-        min_coverage,
-    } = e;
+    let ExtractConfig { rounds } = e;
     Json::obj([
-        ("max_net_degree", Json::num(*max_net_degree as f64)),
-        ("min_bits", Json::num(*min_bits as f64)),
-        ("min_coverage", Json::num(*min_coverage)),
-        ("min_stages", Json::num(*min_stages as f64)),
+        ("max_net_degree", Json::num(MAX_NET_DEGREE as f64)),
+        ("min_bits", Json::num(MIN_BITS as f64)),
+        ("min_coverage", Json::num(MIN_COVERAGE)),
+        ("min_stages", Json::num(MIN_STAGES as f64)),
         ("rounds", Json::num(*rounds as f64)),
     ])
 }
 
 fn canonical_align(a: &AlignConfig) -> Json {
-    let AlignConfig {
-        beta,
-        activate_at,
-        ramp,
-        max_ramp,
-        hysteresis,
-        row_height,
-    } = a;
+    let AlignConfig { beta, row_height } = a;
     Json::obj([
-        ("activate_at", Json::num(*activate_at)),
+        ("activate_at", Json::num(ACTIVATE_AT)),
         ("beta", Json::num(*beta)),
-        ("hysteresis", Json::num(*hysteresis)),
-        ("max_ramp", Json::num(*max_ramp)),
-        ("ramp", Json::num(*ramp)),
+        ("hysteresis", Json::num(HYSTERESIS)),
+        ("max_ramp", Json::num(MAX_RAMP)),
+        ("ramp", Json::num(RAMP)),
         ("row_height", Json::num(*row_height)),
     ])
 }

@@ -6,7 +6,7 @@
 //! Each worker runs one job at a time under
 //! `std::panic::catch_unwind`, so a panicking job becomes a structured
 //! `failed` state for that job alone — the pool keeps serving. A job's
-//! [`sdp_core::Observer`] is wired to its [`CancelToken`] and deadline,
+//! [`sdp_core::Observer`] is wired to its [`CancelToken`] and deadlines,
 //! which the flow polls at phase boundaries and once per
 //! global-placement outer iteration; cancellation therefore lands
 //! mid-phase, not just between jobs.
@@ -23,9 +23,9 @@
 //!   no placement.
 //! - **Coalescing**: a submission matching an *in-flight* job attaches
 //!   to it; one placement runs, every attached id completes together.
-//!   Cancelling an attached id only detaches it — a run other waiters
-//!   share is never killed, and a run nobody wants anymore is stopped
-//!   cooperatively.
+//!   Cancelling an attached id, or its deadline running out, only
+//!   detaches that id — a run other waiters share is never killed, and a
+//!   run nobody wants anymore is stopped cooperatively.
 //! - **Persistence** ([`crate::store`]): terminal transitions are
 //!   appended (fsync'd) to `jobs.log` under the state dir; startup
 //!   replays the log, restores terminal records, and warms the cache,
@@ -136,6 +136,10 @@ struct JobRecord {
     /// For a coalesced submission: the primary job whose execution this
     /// id is attached to.
     coalesced_into: Option<u64>,
+    /// This id's wall-clock budget. It counts from when the run started
+    /// working for the id: the run's start, or the submission for an id
+    /// that attached to a running placement.
+    deadline_ms: Option<u64>,
     /// Current phase and fraction while running.
     phase: Option<Phase>,
     frac: f64,
@@ -161,6 +165,7 @@ impl JobRecord {
             submitted: Instant::now(),
             hash,
             coalesced_into: None,
+            deadline_ms: spec.deadline_ms,
             phase: None,
             frac: 0.0,
             result: None,
@@ -183,6 +188,7 @@ impl JobRecord {
             submitted: Instant::now(),
             hash: rec.hash,
             coalesced_into: None,
+            deadline_ms: None,
             phase: None,
             frac: 0.0,
             result: rec.result.clone(),
@@ -261,6 +267,89 @@ impl Shared {
                 note_store_error(&self.metrics, "append", &e);
             }
         }
+    }
+
+    /// Cancels `id` as [`Engine::cancel`] documents, recording `reason`.
+    /// Returns the resulting state name and the records to persist once
+    /// the caller has dropped the jobs guard; `None` for an unknown id.
+    fn cancel_locked(
+        &self,
+        jobs: &mut JobsState,
+        id: u64,
+        reason: &str,
+    ) -> Option<(&'static str, Vec<StoredRecord>)> {
+        let (state, coalesced_into, hash) = {
+            let r = jobs.records.get(&id)?;
+            (r.state.clone(), r.coalesced_into, r.hash)
+        };
+        if state.is_terminal() {
+            return Some((state.name(), Vec::new()));
+        }
+
+        if let Some(primary) = coalesced_into {
+            // Detach a waiter; never touch the shared run — unless this
+            // was the last id interested in an already-detached primary.
+            if let Some(ws) = jobs.waiters.get_mut(&primary) {
+                ws.retain(|&w| w != id);
+                if ws.is_empty() {
+                    jobs.waiters.remove(&primary);
+                    if let Some(p) = jobs.records.get(&primary) {
+                        if p.state.is_terminal() {
+                            p.token.cancel();
+                        }
+                    }
+                }
+            }
+            return Some(("cancelled", self.finish_cancel(jobs, id, reason)));
+        }
+
+        let has_waiters = jobs.waiters.get(&id).is_some_and(|w| !w.is_empty());
+        if has_waiters {
+            // Detach the primary: its id turns Cancelled, but the
+            // execution it anchors keeps running for the waiters (the
+            // token stays un-cancelled; completion skips terminal ids).
+            return Some(("cancelled", self.finish_cancel(jobs, id, reason)));
+        }
+
+        match state {
+            JobState::Queued => {
+                // Nobody shares it and no worker holds it: terminal now.
+                if let Some(r) = jobs.records.get_mut(&id) {
+                    r.token.cancel();
+                }
+                if jobs.inflight.get(&hash) == Some(&id) {
+                    jobs.inflight.remove(&hash);
+                }
+                Some(("cancelled", self.finish_cancel(jobs, id, reason)))
+            }
+            _ => {
+                // Running: cooperative — the worker observes the token
+                // at its next checkpoint and records the cancellation.
+                if let Some(r) = jobs.records.get_mut(&id) {
+                    r.token.cancel();
+                    if r.error.is_none() {
+                        r.error = Some(reason.to_string());
+                    }
+                }
+                Some(("running", Vec::new()))
+            }
+        }
+    }
+
+    /// Marks `id` Cancelled, counts it, prunes, and returns the record
+    /// to persist (callers drop the jobs guard, then persist).
+    fn finish_cancel(&self, jobs: &mut JobsState, id: u64, reason: &str) -> Vec<StoredRecord> {
+        let mut stored = Vec::new();
+        if let Some(r) = jobs.records.get_mut(&id) {
+            r.state = JobState::Cancelled;
+            if r.error.is_none() {
+                r.error = Some(reason.to_string());
+            }
+            stored.push(stored_record(id, r));
+        }
+        self.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
+        prune_terminal(jobs, self.cfg.retain_terminal);
+        stored
     }
 }
 
@@ -355,10 +444,18 @@ impl Engine {
         });
         let mut workers = Vec::with_capacity(cfg.workers);
         for ix in 0..cfg.workers {
+            // Live from the spawn, not from the worker's first statement,
+            // so `/metrics` never races worker start-up. The guard moves
+            // into the worker, or is dropped with a closure never spawned.
+            shared.metrics.workers_live.fetch_add(1, Ordering::Relaxed);
+            let live = WorkerLiveGuard(Arc::clone(&shared));
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
                 .name(format!("sdp-serve-worker-{ix}"))
-                .spawn(move || worker_loop(&shared))?;
+                .spawn(move || {
+                    let _live = live;
+                    worker_loop(&shared);
+                })?;
             workers.push(handle);
         }
         Ok(Engine {
@@ -537,92 +634,15 @@ impl Engine {
     ///   *detaches*: this id turns `Cancelled` now, while the shared
     ///   execution keeps running for the remaining ids. When the last
     ///   interested id detaches, the execution is stopped cooperatively.
+    ///
+    /// An id whose `deadline_ms` runs out is cancelled the same way, for
+    /// that id alone.
     pub fn cancel(&self, id: u64) -> Option<&'static str> {
-        let mut jobs = lock(&self.shared.jobs);
-        let (state, coalesced_into, hash) = {
-            let r = jobs.records.get(&id)?;
-            (r.state.clone(), r.coalesced_into, r.hash)
-        };
-        if state.is_terminal() {
-            return Some(state.name());
-        }
-
-        if let Some(primary) = coalesced_into {
-            // Detach a waiter; never touch the shared run — unless this
-            // was the last id interested in an already-detached primary.
-            if let Some(ws) = jobs.waiters.get_mut(&primary) {
-                ws.retain(|&w| w != id);
-                if ws.is_empty() {
-                    jobs.waiters.remove(&primary);
-                    if let Some(p) = jobs.records.get(&primary) {
-                        if p.state.is_terminal() {
-                            p.token.cancel();
-                        }
-                    }
-                }
-            }
-            let stored = self.finish_cancel(&mut jobs, id);
-            drop(jobs);
-            self.shared.persist(&stored);
-            return Some("cancelled");
-        }
-
-        let has_waiters = jobs.waiters.get(&id).is_some_and(|w| !w.is_empty());
-        if has_waiters {
-            // Detach the primary: its id turns Cancelled, but the
-            // execution it anchors keeps running for the waiters (the
-            // token stays un-cancelled; completion skips terminal ids).
-            let stored = self.finish_cancel(&mut jobs, id);
-            drop(jobs);
-            self.shared.persist(&stored);
-            return Some("cancelled");
-        }
-
-        match state {
-            JobState::Queued => {
-                // Nobody shares it and no worker holds it: terminal now.
-                if let Some(r) = jobs.records.get_mut(&id) {
-                    r.token.cancel();
-                }
-                if jobs.inflight.get(&hash) == Some(&id) {
-                    jobs.inflight.remove(&hash);
-                }
-                let stored = self.finish_cancel(&mut jobs, id);
-                drop(jobs);
-                self.shared.persist(&stored);
-                Some("cancelled")
-            }
-            _ => {
-                // Running: cooperative — the worker observes the token
-                // at its next checkpoint and records the cancellation.
-                if let Some(r) = jobs.records.get_mut(&id) {
-                    r.token.cancel();
-                    if r.error.is_none() {
-                        r.error = Some("cancelled by client".to_string());
-                    }
-                }
-                Some("running")
-            }
-        }
-    }
-
-    /// Marks `id` Cancelled, counts it, prunes, and returns the record
-    /// to persist (callers drop the jobs guard, then persist).
-    fn finish_cancel(&self, jobs: &mut JobsState, id: u64) -> Vec<StoredRecord> {
-        let mut stored = Vec::new();
-        if let Some(r) = jobs.records.get_mut(&id) {
-            r.state = JobState::Cancelled;
-            if r.error.is_none() {
-                r.error = Some("cancelled by client".to_string());
-            }
-            stored.push(stored_record(id, r));
-        }
-        self.shared
-            .metrics
-            .cancelled
-            .fetch_add(1, Ordering::Relaxed);
-        prune_terminal(jobs, self.shared.cfg.retain_terminal);
-        stored
+        let (state, stored) =
+            self.shared
+                .cancel_locked(&mut lock(&self.shared.jobs), id, "cancelled by client")?;
+        self.shared.persist(&stored);
+        Some(state)
     }
 
     /// Prometheus exposition text.
@@ -678,13 +698,15 @@ pub fn error_body(error: &str, detail: &str) -> String {
     Json::obj([("error", Json::str(error)), ("detail", Json::str(detail))]).to_string()
 }
 
-/// The per-job progress sink: forwards phase/fraction into the job
-/// record and folds the deadline into cancellation.
+/// The per-run progress sink: forwards phase/fraction into the primary's
+/// record and folds every interested id's deadline into cancellation.
 struct JobSink {
     shared: Arc<Shared>,
     id: u64,
     token: CancelToken,
-    deadline: Option<Instant>,
+    /// When the run started: the basis of the deadline of every id that
+    /// was waiting for it.
+    started: Instant,
 }
 
 impl ProgressSink for JobSink {
@@ -696,25 +718,42 @@ impl ProgressSink for JobSink {
         }
     }
 
+    /// Each id's deadline applies to that id alone: an expired id
+    /// detaches as [`Engine::cancel`] would, so the run stops only once no
+    /// id still wants it.
     fn cancelled(&self) -> bool {
         if self.token.is_cancelled() {
             return true;
         }
-        if let Some(deadline) = self.deadline {
-            // sdp-lint: allow(determinism-taint) -- the deadline check only
-            // decides WHETHER a job completes (cancelled vs done); a job that
-            // does complete produces bytes independent of the clock.
-            if Instant::now() >= deadline {
-                let mut jobs = lock(&self.shared.jobs);
-                if let Some(r) = jobs.records.get_mut(&self.id) {
-                    if r.error.is_none() {
-                        r.error = Some("deadline exceeded".to_string());
-                    }
-                }
-                return true;
+        // sdp-lint: allow(determinism-taint) -- the deadline check only
+        // decides WHETHER a job completes (cancelled vs done); a job that
+        // does complete produces bytes independent of the clock.
+        let now = Instant::now();
+        let mut jobs = lock(&self.shared.jobs);
+        let waiters = jobs.waiters.get(&self.id).cloned().unwrap_or_default();
+        let mut stored = Vec::new();
+        for id in std::iter::once(self.id).chain(waiters) {
+            // An unrepresentable deadline is no deadline rather than a
+            // panic; the parse-level cap makes it unreachable through the
+            // API.
+            let expired = jobs
+                .records
+                .get(&id)
+                .and_then(|r| {
+                    let ms = std::time::Duration::from_millis(r.deadline_ms?);
+                    self.started.max(r.submitted).checked_add(ms)
+                })
+                .is_some_and(|deadline| now >= deadline);
+            if expired {
+                let detached = self
+                    .shared
+                    .cancel_locked(&mut jobs, id, "deadline exceeded");
+                stored.extend(detached.into_iter().flat_map(|(_, s)| s));
             }
         }
-        false
+        drop(jobs);
+        self.shared.persist(&stored);
+        self.token.is_cancelled()
     }
 }
 
@@ -737,8 +776,6 @@ enum Claim {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
-    shared.metrics.workers_live.fetch_add(1, Ordering::Relaxed);
-    let _live = WorkerLiveGuard(Arc::clone(shared));
     loop {
         let task = {
             let mut queue = lock(&shared.queue);
@@ -817,17 +854,11 @@ fn worker_loop(shared: &Arc<Shared>) {
         // per-job setup lives inside the boundary too, so a pathological
         // spec can only ever fail its own job.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            // An unrepresentable deadline clamps to "no deadline"
-            // rather than panicking; the parse-level cap makes this
-            // unreachable through the API, so this is defense in depth.
-            let deadline = spec
-                .deadline_ms
-                .and_then(|ms| started.checked_add(std::time::Duration::from_millis(ms)));
             let sink = JobSink {
                 shared: Arc::clone(shared),
                 id,
                 token: token.clone(),
-                deadline,
+                started,
             };
             let obs = Observer::new(Arc::new(MonotonicClock::new()), Arc::new(sink));
             run_job(&spec, &obs, shared.cfg.default_threads)
@@ -1233,6 +1264,74 @@ mod tests {
             .submit(parse_spec(r#"{"design": {"preset": "dp_tiny", "seed": 42}}"#).unwrap())
             .unwrap();
         assert_eq!(wait_done(&engine, b), JobState::Done);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn workers_are_live_as_soon_as_start_returns() {
+        let engine = Engine::start(EngineConfig {
+            workers: 3,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let metrics = engine.metrics_text();
+        assert!(metrics.contains("sdp_serve_workers_live 3"), "{metrics}");
+        engine.shutdown();
+        assert!(engine.metrics_text().contains("sdp_serve_workers_live 0"));
+    }
+
+    /// Submits `first` and then `second`, two specs that differ only in
+    /// `deadline_ms`, so the second attaches to the first's run.
+    fn coalesced_pair(engine: &Engine, first: &str, second: &str) -> (u64, u64) {
+        let spec = |extra: &str| {
+            parse_spec(&format!(
+                r#"{{"design": {{"preset": "dp_small", "seed": 81}}, "flow": {{"fast": false}}{extra}}}"#
+            ))
+            .unwrap()
+        };
+        let a = engine.submit(spec(first)).unwrap();
+        let b = engine.submit(spec(second)).unwrap();
+        assert!(
+            engine.status_json(b).unwrap().contains("coalesced_into"),
+            "the second submission shares the first's run"
+        );
+        (a, b)
+    }
+
+    #[test]
+    fn a_primarys_deadline_does_not_cancel_its_waiters() {
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let (a, b) = coalesced_pair(&engine, r#", "deadline_ms": 50"#, "");
+        assert_eq!(wait_done(&engine, a), JobState::Cancelled);
+        assert!(engine.status_json(a).unwrap().contains("deadline exceeded"));
+        assert_eq!(wait_done(&engine, b), JobState::Done, "b has no deadline");
+        let metrics = engine.metrics_text();
+        assert!(
+            metrics.contains("sdp_serve_jobs_completed_total 1"),
+            "{metrics}"
+        );
+        engine.shutdown();
+    }
+
+    #[test]
+    fn a_waiters_deadline_detaches_it_alone() {
+        let engine = Engine::start(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        })
+        .unwrap();
+        let (a, b) = coalesced_pair(&engine, "", r#", "deadline_ms": 50"#);
+        assert_eq!(wait_done(&engine, b), JobState::Cancelled);
+        assert!(engine.status_json(b).unwrap().contains("deadline exceeded"));
+        assert_eq!(
+            wait_done(&engine, a),
+            JobState::Done,
+            "the run goes on for a"
+        );
         engine.shutdown();
     }
 

@@ -24,8 +24,8 @@
 //!   two identical-seed jobs are byte-identical at any worker count.
 //!   That invariant is *exploited*, not just promised: identical specs
 //!   are answered from a content-addressed result cache ([`canon`],
-//!   [`cache`]), coalesced onto in-flight runs, and replayed from a
-//!   persistent store across restarts ([`store`]).
+//!   `cache`), coalesced onto in-flight runs, and replayed from a
+//!   persistent store across restarts (`store`).
 //! - **Graceful shutdown.** [`ServerHandle::shutdown`] stops accepting,
 //!   then drains queued and in-flight jobs before returning.
 

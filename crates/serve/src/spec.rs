@@ -10,7 +10,7 @@
 //! the netlist reader's own [`sdp_netlist::ParseError`] rendering, never
 //! an asynchronous job failure).
 
-use sdp_core::{FlowConfig, LegalizerKind, MAX_DP_NET_WEIGHT, MAX_THREADS};
+use sdp_core::{FlowConfig, LegalizerKind, MAX_DP_NET_WEIGHT, MAX_REFINE_OUTERS, MAX_THREADS};
 use sdp_dpgen::GenConfig;
 use sdp_json::Json;
 use sdp_netlist::BookshelfCase;
@@ -304,7 +304,14 @@ fn parse_flow(flow: Option<&Json>) -> Result<FlowConfig, SpecError> {
         cfg.detailed_passes = passes as usize;
     }
     if let Some(outers) = get_u64("refine_outers")? {
-        cfg.refine_outers = outers as usize;
+        cfg.refine_outers = usize::try_from(outers)
+            .ok()
+            .filter(|&o| o <= MAX_REFINE_OUTERS)
+            .ok_or_else(|| {
+                SpecError(format!(
+                    "`refine_outers` must be an integer in 0..={MAX_REFINE_OUTERS}"
+                ))
+            })?;
     }
     if let Some(m) = flow.get("mode") {
         let name = m
@@ -412,6 +419,47 @@ mod tests {
             let err = spec(w).unwrap_err();
             assert!(err.0.contains("1..=1000"), "{w}: {}", err.0);
         }
+    }
+
+    #[test]
+    fn refine_outers_is_bounded() {
+        let spec = |outers: u64| {
+            parse_spec(&format!(
+                r#"{{"design": {{"preset": "dp_tiny"}}, "flow": {{"refine_outers": {outers}}}}}"#
+            ))
+        };
+        assert_eq!(spec(64).unwrap().flow.refine_outers, MAX_REFINE_OUTERS);
+        for outers in [65, 1100, 1 << 40] {
+            let err = spec(outers).unwrap_err();
+            assert!(err.0.contains("0..=64"), "{outers}: {}", err.0);
+        }
+    }
+
+    #[test]
+    fn parse_never_panics_on_cut_or_mutated_specs() {
+        // Every flow key, so each of their range checks sees cut and
+        // mutated values.
+        let doc = r#"{"design": {"preset": "dp_tiny", "seed": 7}, "flow": {"fast": false, "baseline": false, "rigid": true, "abacus": true, "seed": 3, "threads": 2, "detailed_passes": 1, "refine_outers": 64, "dp_net_weight": 2.5, "mode": "route"}, "deadline_ms": 60000}"#;
+        assert!(parse_spec(doc).is_ok(), "the corpus spec must parse");
+        const SUBSTITUTES: &[u8] = b" \"\\[]{},:-+.0159eEtfnux";
+        let (mut ok, mut err) = (0, 0);
+        let mut check = |text: &str| match std::panic::catch_unwind(|| parse_spec(text)) {
+            Ok(Ok(_)) => ok += 1,
+            Ok(Err(_)) => err += 1,
+            Err(_) => panic!("parse_spec panicked on {text:?}"),
+        };
+        for (i, c) in doc.char_indices() {
+            check(&doc[..i]);
+            for &sub in SUBSTITUTES {
+                check(&format!(
+                    "{}{}{}",
+                    &doc[..i],
+                    sub as char,
+                    &doc[i + c.len_utf8()..]
+                ));
+            }
+        }
+        assert!(ok > 0 && err > 0, "{ok} accepted, {err} rejected");
     }
 
     #[test]

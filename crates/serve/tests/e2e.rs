@@ -674,9 +674,11 @@ fn out_of_range_numbers_are_400s_and_the_server_keeps_serving() {
     .to_string();
     std::fs::remove_dir_all(&dir).unwrap();
     let weight = r#"{"design": {"preset": "dp_tiny"}, "flow": {"dp_net_weight": 1e308}}"#;
+    let outers = r#"{"design": {"preset": "dp_tiny"}, "flow": {"refine_outers": 65}}"#;
     for (spec, names) in [
         (bundle.as_str(), "width `NaN` is outside"),
         (weight, "`dp_net_weight` must be a number in 1..=1000"),
+        (outers, "`refine_outers` must be an integer in 0..=64"),
     ] {
         let (status, body) = request(port, "POST", "/jobs", spec).unwrap();
         assert_eq!(status, 400, "{body}");

@@ -38,10 +38,7 @@ fn main() {
     // Knob sweep: signature rounds trade recall for discrimination.
     let mut sweep = Table::new(["rounds", "precision", "recall", "f1", "coherence"]);
     for rounds in 1..=4 {
-        let cfg = ExtractConfig {
-            rounds,
-            ..ExtractConfig::default()
-        };
+        let cfg = ExtractConfig { rounds };
         let r = extract(&d.netlist, &cfg);
         let m = metrics::score(&r.groups, &d.truth.groups, &d.netlist);
         sweep.row([
