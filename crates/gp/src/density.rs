@@ -16,9 +16,12 @@
 //! # Table-driven evaluation
 //!
 //! The kernel is separable, `θ(bin) = θx(column) · θy(row)`, and a bin
-//! centre's x depends only on its column (its y only on its row). One
-//! evaluation therefore runs in three phases over scratch the model owns
-//! and reuses:
+//! centre's x depends only on its column (its y only on its row). A cell's
+//! two one-axis kernels depend only on its size, its inflation and the bin
+//! size, so the model builds them once per movable cell on the first
+//! evaluation and again on the first one after
+//! [`DensityModel::set_inflation`]. One evaluation then runs in three
+//! phases over scratch the model owns and reuses:
 //!
 //! 1. **Tables.** In parallel over fixed chunks of the movable cells, each
 //!    cell's bin window is clipped to the grid and θ is tabulated once per
@@ -30,15 +33,30 @@
 //!    in movable-cell order.
 //! 3. **Gradients.** In parallel over the cell chunks, each cell computes
 //!    its signed dθ once per window column and row, then folds its
-//!    gradient from those, its θ table, and the bins' overfill. Only this
-//!    phase needs dθ, so it is not stored: the tables hold one `f64` per
-//!    window column and row, which halves them and measured no slower.
+//!    gradient from those, its θ table, and the bins' `2·overfill`. Only
+//!    this phase needs dθ, so it is not stored: the tables hold one `f64`
+//!    per window column and row, which halves them and measured no slower.
 //!
 //! The per-bin penalty fold between phases 2 and 3 stays sequential
-//! (it is O(bins)), and the per-cell gradients are added into the caller's
-//! buffer in movable-cell order. Every value is the product or sum that a
-//! per-bin evaluation forms (the tests keep one as the reference), in the
-//! same order; only the repeated evaluations of θ and dθ are shared.
+//! (it is O(bins)); beside the penalty it stores each bin's `2·overfill`,
+//! `0.0` where the bin is at or under capacity. The per-cell gradients
+//! are added into the caller's buffer in movable-cell order. Every value
+//! is the product or sum that a per-bin evaluation forms (the tests keep
+//! one as the reference), in the same order; only the repeated
+//! evaluations of the kernels, θ and dθ are shared.
+//!
+//! **No branches in the bin loops.** The per-bin reference skips the
+//! deposits with `θx·θy = 0` and the gradient terms of bins that are not
+//! overfilled; the loops here add those terms instead. That changes no
+//! bit. With finite inputs each such term is `+0` or `−0`, because every
+//! product keeps its operand order and one operand is `+0`: θ is never
+//! negative (its first piece bottoms out at `2wb / (w + 4wb)` at the
+//! knee), and the stored `2·overfill` is `+0`. Adding `±0` to a sum
+//! `s` gives `s`, unless `s` is `−0` and the term `+0`. No running sum can
+//! be `−0`: every sum starts at `+0`, and round-to-nearest addition gives
+//! `−0` only from two `−0` operands. A NaN overfill is not `<= 0`, so it
+//! stays NaN in the field and reaches the gradient as it did in the
+//! reference.
 //!
 //! **Determinism.** Every bin belongs to exactly one band, and a band
 //! visits its cells in movable-cell order, so every bin sums its deposits
@@ -157,18 +175,6 @@ struct Frame<'a> {
     row_y: &'a [f64],
 }
 
-impl Frame<'_> {
-    /// Cell `c`'s centre and its kernels along x (inflated width) and y.
-    fn kernels(&self, c: CellId) -> (Point, Bell, Bell) {
-        let m = self.netlist.master_of(c);
-        (
-            self.pos[c.ix()],
-            Bell::new(m.width * self.inflation[c.ix()], self.grid.bin_w()),
-            Bell::new(m.height, self.grid.bin_h()),
-        )
-    }
-}
-
 /// Potential scratch for one band of grid rows.
 #[derive(Debug, Clone, Default)]
 struct Band {
@@ -187,12 +193,19 @@ pub struct DensityModel {
     capacity: Vec<f64>,
     /// Per-bin accumulated potential at the last evaluation.
     potential: Vec<f64>,
+    /// Per-bin `2·(potential − capacity)` at the last evaluation, `0.0`
+    /// where the bin is at or under capacity.
+    twice_overfill: Vec<f64>,
     /// Per-cell area inflation factors (routability-driven placement
     /// widens cells in congested regions); `1.0` = no inflation.
     inflation: Vec<f64>,
     /// Movable-cell ids in netlist order, cached so evaluation does not
     /// rebuild the list every call.
     movable: Vec<CellId>,
+    /// Each movable cell's kernels along x (inflated width) and y, in
+    /// `movable` order. Empty until the first evaluation after
+    /// [`DensityModel::new`] or [`DensityModel::set_inflation`] builds it.
+    kernels: Vec<(Bell, Bell)>,
     /// Bin-centre x of every grid column and y of every grid row.
     col_x: Vec<f64>,
     row_y: Vec<f64>,
@@ -251,12 +264,13 @@ impl DensityModel {
         DensityModel {
             capacity,
             potential: vec![0.0; grid.len()],
+            twice_overfill: vec![0.0; grid.len()],
             inflation: vec![1.0; netlist.num_cells()],
             col_x: (0..nx).map(|ix| grid.bin_center((ix, 0)).x).collect(),
             row_y: (0..ny).map(|iy| grid.bin_center((0, iy)).y).collect(),
             chunks: (0..movable.len().div_ceil(CELL_CHUNK))
                 .map(|ci| {
-                    let n = chunk_cells(&movable, ci).len();
+                    let n = chunk_of(&movable, ci).len();
                     CellChunk {
                         windows: Vec::with_capacity(n),
                         grad: Vec::with_capacity(n),
@@ -266,6 +280,7 @@ impl DensityModel {
                 .collect(),
             bands,
             movable,
+            kernels: Vec::new(),
             grid,
             movable_area: netlist.movable_area().max(1e-12),
         }
@@ -289,6 +304,9 @@ impl DensityModel {
         // *uninflated* area: inflation raises measured overflow, which is
         // exactly the spreading pressure the caller wants.
         self.inflation = inflation;
+        // The x kernels follow the inflated widths; the next evaluation
+        // rebuilds them from the netlist it is given.
+        self.kernels.clear();
     }
 
     /// A sensible default grid resolution for a netlist: roughly
@@ -321,6 +339,17 @@ impl DensityModel {
         grad: &mut [Point],
         exec: &Executor,
     ) -> f64 {
+        // Built once per model and inflation (see the module docs).
+        if self.kernels.len() != self.movable.len() {
+            let (bin_w, bin_h) = (self.grid.bin_w(), self.grid.bin_h());
+            self.kernels.extend(self.movable.iter().map(|&c| {
+                let m = netlist.master_of(c);
+                (
+                    Bell::new(m.width * self.inflation[c.ix()], bin_w),
+                    Bell::new(m.height, bin_h),
+                )
+            }));
+        }
         let frame = Frame {
             netlist,
             pos,
@@ -329,11 +358,11 @@ impl DensityModel {
             col_x: &self.col_x,
             row_y: &self.row_y,
         };
-        let movable = &self.movable[..];
+        let (movable, kernels) = (&self.movable[..], &self.kernels[..]);
 
         // Phase 1: per-cell windows, θ tables and normalizations.
         exec.for_each_mut(&mut self.chunks, |ci, chunk| {
-            chunk.tabulate(chunk_cells(movable, ci), &frame);
+            chunk.tabulate(chunk_of(movable, ci), chunk_of(kernels, ci), &frame);
         });
 
         // Phase 2: each band collects the depositing cells that reach it,
@@ -363,30 +392,24 @@ impl DensityModel {
             rows.copy_from_slice(&band.potential);
         }
 
-        // Per-bin penalty (sequential, cheap).
-        let penalty = self.penalty();
+        // Per-bin penalty and 2·overfill (sequential, cheap).
+        let penalty =
+            penalty_and_overfill(&self.potential, &self.capacity, &mut self.twice_overfill);
 
         // Phase 3: per-cell gradients from the θ tables.
-        let (potential, capacity) = (&self.potential[..], &self.capacity[..]);
+        let twice_overfill = &self.twice_overfill[..];
         exec.for_each_mut(&mut self.chunks, |ci, chunk| {
-            chunk.gradients(chunk_cells(movable, ci), &frame, potential, capacity);
+            chunk.gradients(
+                chunk_of(movable, ci),
+                chunk_of(kernels, ci),
+                &frame,
+                twice_overfill,
+            );
         });
         for (ci, chunk) in self.chunks.iter().enumerate() {
-            for (&c, g) in chunk_cells(movable, ci).iter().zip(&chunk.grad) {
+            for (&c, g) in chunk_of(movable, ci).iter().zip(&chunk.grad) {
                 grad[c.ix()].x += g.x;
                 grad[c.ix()].y += g.y;
-            }
-        }
-        penalty
-    }
-
-    /// The penalty fold over the current potential field.
-    fn penalty(&self) -> f64 {
-        let mut penalty = 0.0;
-        for (f, &p) in self.potential.iter().enumerate() {
-            let over = p - self.capacity[f];
-            if over > 0.0 {
-                penalty += over * over;
             }
         }
         penalty
@@ -406,11 +429,26 @@ impl DensityModel {
     }
 }
 
-/// The movable cells of chunk `ci`: [`CELL_CHUNK`] cells from
-/// `ci · CELL_CHUNK`, fewer in the last chunk.
-fn chunk_cells(movable: &[CellId], ci: usize) -> &[CellId] {
+/// The entries of chunk `ci` in a per-movable-cell list: [`CELL_CHUNK`]
+/// entries from `ci · CELL_CHUNK`, fewer in the last chunk.
+fn chunk_of<T>(per_cell: &[T], ci: usize) -> &[T] {
     let start = ci * CELL_CHUNK;
-    &movable[start..(start + CELL_CHUNK).min(movable.len())]
+    &per_cell[start..(start + CELL_CHUNK).min(per_cell.len())]
+}
+
+/// The penalty fold `Σ (overfill)²` over a potential field. Beside it,
+/// stores each bin's `2·overfill` for the gradient phase, `0.0` where
+/// the bin is at or under capacity (a NaN overfill stays NaN).
+fn penalty_and_overfill(potential: &[f64], capacity: &[f64], twice_overfill: &mut [f64]) -> f64 {
+    let mut penalty = 0.0;
+    for ((&p, &cap), twice) in potential.iter().zip(capacity).zip(twice_overfill) {
+        let over = p - cap;
+        if over > 0.0 {
+            penalty += over * over;
+        }
+        *twice = if over <= 0.0 { 0.0 } else { 2.0 * over };
+    }
+    penalty
 }
 
 /// The grid rows of band `b`: [`BAND_ROWS`] rows from `b · BAND_ROWS`,
@@ -428,11 +466,11 @@ impl CellChunk {
     /// The windows come first so the table can be sized exactly: a run
     /// keeps its tables for every evaluation, and growth slack would
     /// stay resident with them.
-    fn tabulate(&mut self, cells: &[CellId], frame: &Frame<'_>) {
+    fn tabulate(&mut self, cells: &[CellId], kernels: &[(Bell, Bell)], frame: &Frame<'_>) {
         self.windows.clear();
         let mut at = 0;
-        for &c in cells {
-            let (center, bx, by) = frame.kernels(c);
+        for (&c, (bx, by)) in cells.iter().zip(kernels) {
+            let center = frame.pos[c.ix()];
             let mut w = Window {
                 at,
                 ..Window::default()
@@ -448,8 +486,8 @@ impl CellChunk {
         }
         self.theta.clear();
         self.theta.reserve_exact(at);
-        for (w, &c) in self.windows.iter_mut().zip(cells) {
-            let (center, bx, by) = frame.kernels(c);
+        for ((w, &c), (bx, by)) in self.windows.iter_mut().zip(cells).zip(kernels) {
+            let center = frame.pos[c.ix()];
             let cols = frame.col_x[w.ix..][..w.nx].iter();
             let rows = frame.row_y[w.iy..][..w.ny].iter();
             self.theta.extend(
@@ -471,32 +509,33 @@ impl CellChunk {
     }
 
     /// Each cell's gradient `Σ 2·over_b·c_i·(dθx·θy, θx·dθy)` over the
-    /// overfilled bins of its window, in row-major bin order. Only this
+    /// bins of its window, in row-major bin order; a bin that is not
+    /// overfilled adds a `±0` term (see the module docs). Only this
     /// phase needs the signed dθ, so it computes it here, once per window
     /// column and row, rather than storing it beside θ.
     fn gradients(
         &mut self,
         cells: &[CellId],
+        kernels: &[(Bell, Bell)],
         frame: &Frame<'_>,
-        potential: &[f64],
-        capacity: &[f64],
+        twice_overfill: &[f64],
     ) {
         let nx = frame.grid.nx();
         let slope = |bell: &Bell, d: f64| bell.dtheta(d.abs()) * d.signum();
         self.grad.clear();
-        for (w, &c) in self.windows.iter().zip(cells) {
+        for ((w, &c), (bx, by)) in self.windows.iter().zip(cells).zip(kernels) {
             // Exact sentinel: see the deposit filter in `eval_with`.
             if w.norm == 0.0 {
                 self.grad.push(Point::ORIGIN);
                 continue;
             }
-            let (center, bx, by) = frame.kernels(c);
+            let center = frame.pos[c.ix()];
             let cols = frame.col_x[w.ix..][..w.nx].iter();
             let rows = frame.row_y[w.iy..][..w.ny].iter();
             self.slope.clear();
             self.slope.extend(
-                cols.map(|&x| slope(&bx, center.x - x))
-                    .chain(rows.map(|&y| slope(&by, center.y - y))),
+                cols.map(|&x| slope(bx, center.x - x))
+                    .chain(rows.map(|&y| slope(by, center.y - y))),
             );
             let (theta_x, theta_y) = self.theta[w.at..][..w.nx + w.ny].split_at(w.nx);
             let (slope_x, slope_y) = self.slope.split_at(w.nx);
@@ -504,16 +543,10 @@ impl CellChunk {
             let mut gy = 0.0;
             for (iy, (&ty, &dty)) in (w.iy..).zip(theta_y.iter().zip(slope_y)) {
                 let row = iy * nx + w.ix;
-                let overfill = potential[row..row + w.nx]
-                    .iter()
-                    .zip(&capacity[row..row + w.nx]);
-                for ((&tx, &dtx), (&p, &cap)) in theta_x.iter().zip(slope_x).zip(overfill) {
-                    let over = p - cap;
-                    if over <= 0.0 {
-                        continue;
-                    }
-                    gx += 2.0 * over * w.norm * dtx * ty;
-                    gy += 2.0 * over * w.norm * tx * dty;
+                let overfill = &twice_overfill[row..row + w.nx];
+                for ((&tx, &dtx), &twice) in theta_x.iter().zip(slope_x).zip(overfill) {
+                    gx += twice * w.norm * dtx * ty;
+                    gy += twice * w.norm * tx * dty;
                 }
             }
             self.grad.push(Point::new(gx, gy));
@@ -533,10 +566,7 @@ impl Band {
                 let ty = theta_y[iy - w.iy];
                 let at = (iy - rows.start) * nx + w.ix;
                 for (p, &tx) in self.potential[at..at + w.nx].iter_mut().zip(theta_x) {
-                    let t = tx * ty;
-                    if t > 0.0 {
-                        *p += w.norm * t;
-                    }
+                    *p += w.norm * (tx * ty);
                 }
             }
         }
@@ -849,9 +879,11 @@ mod tests {
 
     /// Position sets that reach every branch of the kernel: the generated
     /// placement, a jittered copy (bins straddled as in mid-GP states),
-    /// every cell stacked on one point, and cells pushed past the region
+    /// every cell stacked on one point, cells pushed past the region
     /// edge — clipped windows, windows that miss the region entirely, and
-    /// windows that meet it only where θ vanishes (zero-mass cells).
+    /// windows that meet it only where θ vanishes (zero-mass cells) — and
+    /// cells spread evenly over the region, as late in GP, where most
+    /// windows hold no overfilled bin.
     fn position_sets(
         nl: &Netlist,
         generated: &[Point],
@@ -891,7 +923,64 @@ mod tests {
                 }
             })
             .collect();
-        vec![generated.to_vec(), jittered, stacked, pushed]
+        let side = (generated.len() as f64).sqrt().ceil();
+        let spread: Vec<Point> = (0..generated.len())
+            .map(|i| {
+                let (col, row) = (i as f64 % side, (i as f64 / side).floor());
+                Point::new(
+                    region.x1() + (col + 0.5) * region.width() / side,
+                    region.y1() + (row + 0.5) * region.height() / side,
+                )
+            })
+            .collect();
+        vec![generated.to_vec(), jittered, stacked, pushed, spread]
+    }
+
+    /// Which kernel branches a test's inputs reached.
+    #[derive(Default)]
+    struct Reached {
+        /// A window that missed the region.
+        missed: bool,
+        /// A window that met the region only where θ vanishes.
+        zero_mass: bool,
+        /// A window that spanned two bands.
+        multi_band: bool,
+        /// A depositing window with no overfilled bin, where every
+        /// gradient term is ±0.
+        unloaded: bool,
+        /// A window holding both overfilled and under-capacity bins.
+        mixed: bool,
+    }
+
+    impl Reached {
+        /// Records the windows of the model's last evaluation, and checks
+        /// that every unloaded window's gradient is exactly `(+0, +0)`.
+        fn record(&mut self, model: &DensityModel, case: &str) {
+            let nx = model.grid.nx();
+            for chunk in &model.chunks {
+                for (w, g) in chunk.windows.iter().zip(&chunk.grad) {
+                    self.missed |= w.nx == 0;
+                    self.zero_mass |= w.nx > 0 && w.norm == 0.0;
+                    self.multi_band |= w.iy % BAND_ROWS + w.ny > BAND_ROWS;
+                    if w.norm == 0.0 {
+                        continue;
+                    }
+                    let overfilled = (w.iy..w.iy + w.ny)
+                        .flat_map(|iy| (iy * nx + w.ix..).take(w.nx))
+                        .filter(|&f| model.potential[f] - model.capacity[f] > 0.0)
+                        .count();
+                    if overfilled == 0 {
+                        self.unloaded = true;
+                        assert_eq!(
+                            (g.x.to_bits(), g.y.to_bits()),
+                            (0, 0),
+                            "gradient of a window with no overfilled bin: {case}"
+                        );
+                    }
+                    self.mixed |= overfilled > 0 && overfilled < w.nx * w.ny;
+                }
+            }
+        }
     }
 
     #[test]
@@ -899,8 +988,7 @@ mod tests {
         use crate::exec::Executor;
         use sdp_dpgen::{generate, GenConfig};
         let execs: Vec<Executor> = [1, 2, 3, 8].into_iter().map(Executor::new).collect();
-        // Which kernel branches the inputs reached, checked at the end.
-        let (mut missed, mut zero_mass, mut multi_band) = (false, false, false);
+        let mut reached = Reached::default();
         for name in ["dp_tiny", "dp_small"] {
             let d = generate(&GenConfig::named(name, 13).unwrap());
             let nl = &d.netlist;
@@ -922,12 +1010,10 @@ mod tests {
                     model.set_inflation(inflation.clone());
                     let sets = position_sets(nl, generated, model.grid(), &inflation);
                     for (set, pos) in sets.iter().enumerate() {
+                        let case = format!("{name} {bins}x{bins} set {set} infl {infl}");
                         let (penalty, overflow, reference) = reference_eval(&model, nl, pos);
                         for exec in &execs {
-                            let at = format!(
-                                "{name} {bins}x{bins} set {set} infl {infl} @ {} threads",
-                                exec.threads()
-                            );
+                            let at = format!("{case} @ {} threads", exec.threads());
                             let mut grad = vec![Point::ORIGIN; pos.len()];
                             let p = model.eval_with(nl, pos, &mut grad, exec);
                             assert_eq!(p.to_bits(), penalty.to_bits(), "penalty: {at}");
@@ -944,18 +1030,25 @@ mod tests {
                                 );
                             }
                         }
-                        for w in model.chunks.iter().flat_map(|c| &c.windows) {
-                            missed |= w.nx == 0;
-                            zero_mass |= w.nx > 0 && w.norm == 0.0;
-                            multi_band |= w.iy % BAND_ROWS + w.ny > BAND_ROWS;
-                        }
+                        reached.record(&model, &case);
                     }
                 }
             }
         }
-        assert!(missed, "no window missed the region");
-        assert!(zero_mass, "no window met the region only where θ vanishes");
-        assert!(multi_band, "no window spanned two bands");
+        assert!(reached.missed, "no window missed the region");
+        assert!(
+            reached.zero_mass,
+            "no window met the region only where θ vanishes"
+        );
+        assert!(reached.multi_band, "no window spanned two bands");
+        assert!(
+            reached.unloaded,
+            "no depositing window was free of overfilled bins"
+        );
+        assert!(
+            reached.mixed,
+            "no window mixed overfilled and under-capacity bins"
+        );
     }
 
     #[test]

@@ -123,7 +123,47 @@ pub fn read_request_with(stream: &mut TcpStream, wall: Duration) -> Result<Reque
         buf.extend_from_slice(&chunk[..n]);
     };
 
-    let head = std::str::from_utf8(&buf[..head_end])
+    let Head {
+        method,
+        path,
+        content_length,
+    } = parse_head(&buf[..head_end])?;
+    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
+    while body.len() < content_length {
+        arm_read_timeout(stream, deadline)?;
+        let n = stream.read(&mut chunk)?;
+        if n == 0 {
+            return Err(HttpError::Malformed("connection closed mid-body".into()));
+        }
+        body.extend_from_slice(&chunk[..n]);
+    }
+    body.truncate(content_length);
+    let body =
+        String::from_utf8(body).map_err(|_| HttpError::Malformed("non-UTF-8 body".into()))?;
+    Ok(Request { method, path, body })
+}
+
+/// What a request head says about the request.
+#[derive(Debug, PartialEq)]
+struct Head {
+    method: String,
+    path: String,
+    /// Body bytes to read: the `Content-Length`, or 0 for a method that
+    /// carries no body.
+    content_length: usize,
+}
+
+/// Parses a request head: the bytes before the `\r\n\r\n` terminator.
+/// Pure over its input, so every rejection is testable without a socket.
+///
+/// Besides the request line it reads only `Content-Length`, but two
+/// rules hold for every field line. A field name holding whitespace is a
+/// 400: RFC 9112 §5.1 forbids it before the colon, and at the start of a
+/// line it is obsolete line folding (§5.2), which a server may reject. A
+/// `Content-Length` value is digits only (`1*DIGIT`, RFC 9110 §8.6), so
+/// `+5` is not a length.
+fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
+    let head = std::str::from_utf8(head)
         .map_err(|_| HttpError::Malformed("non-UTF-8 header block".into()))?;
     let mut lines = head.split("\r\n");
     let request_line = lines
@@ -144,11 +184,19 @@ pub fn read_request_with(stream: &mut TcpStream, wall: Duration) -> Result<Reque
         let Some((name, value)) = line.split_once(':') else {
             continue;
         };
-        if name.trim().eq_ignore_ascii_case("content-length") {
+        if name.contains([' ', '\t']) {
+            return Err(HttpError::Malformed(
+                "whitespace in a header field name".into(),
+            ));
+        }
+        if name.eq_ignore_ascii_case("content-length") {
+            let value = value.trim_matches([' ', '\t']);
             let len = value
-                .trim()
-                .parse::<usize>()
-                .map_err(|_| HttpError::Malformed("bad Content-Length".into()))?;
+                .bytes()
+                .all(|b| b.is_ascii_digit())
+                .then(|| value.parse::<usize>().ok())
+                .flatten()
+                .ok_or_else(|| HttpError::Malformed("bad Content-Length".into()))?;
             // Duplicate headers that agree are tolerated; ones that
             // disagree are the classic request-smuggling shape — reject
             // rather than silently letting the last one win.
@@ -169,20 +217,11 @@ pub fn read_request_with(stream: &mut TcpStream, wall: Duration) -> Result<Reque
     if content_length > MAX_BODY {
         return Err(HttpError::TooLarge);
     }
-
-    let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        arm_read_timeout(stream, deadline)?;
-        let n = stream.read(&mut chunk)?;
-        if n == 0 {
-            return Err(HttpError::Malformed("connection closed mid-body".into()));
-        }
-        body.extend_from_slice(&chunk[..n]);
-    }
-    body.truncate(content_length);
-    let body =
-        String::from_utf8(body).map_err(|_| HttpError::Malformed("non-UTF-8 body".into()))?;
-    Ok(Request { method, path, body })
+    Ok(Head {
+        method,
+        path,
+        content_length,
+    })
 }
 
 /// Byte offset of the `\r\n\r\n` head terminator at or after `from`, if
@@ -298,6 +337,62 @@ mod tests {
             .unwrap();
         let req = read_request(&mut server).unwrap();
         assert_eq!((req.method.as_str(), req.body.as_str()), ("POST", "hello"));
+    }
+
+    #[test]
+    fn whitespace_before_the_colon_is_rejected() {
+        let (mut client, mut server) = pipe();
+        client
+            .write_all(b"POST /jobs HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello")
+            .unwrap();
+        match read_request(&mut server) {
+            Err(HttpError::Malformed(m)) => assert!(m.contains("whitespace"), "{m}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn signed_content_length_is_rejected() {
+        let (mut client, mut server) = pipe();
+        client
+            .write_all(b"POST /jobs HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello")
+            .unwrap();
+        match read_request(&mut server) {
+            Err(HttpError::Malformed(m)) => assert!(m.contains("Content-Length"), "{m}"),
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn head_parse_never_panics_on_cut_or_mutated_heads() {
+        let head = b"POST /jobs?wait=1 HTTP/1.1\r\nHost: localhost:8080\r\nContent-Type: application/json\r\nContent-Length: 42";
+        assert_eq!(
+            parse_head(head).unwrap(),
+            Head {
+                method: "POST".into(),
+                path: "/jobs".into(),
+                content_length: 42,
+            }
+        );
+        const SUBSTITUTES: &[u8] = b" \t:+-09\r\n?aZ\xff";
+        let (mut ok, mut err) = (0, 0);
+        let mut check = |bytes: &[u8]| match std::panic::catch_unwind(|| parse_head(bytes)) {
+            Ok(Ok(_)) => ok += 1,
+            Ok(Err(_)) => err += 1,
+            Err(_) => panic!(
+                "parse_head panicked on {:?}",
+                String::from_utf8_lossy(bytes)
+            ),
+        };
+        for i in 0..head.len() {
+            check(&head[..i]);
+            for &sub in SUBSTITUTES {
+                let mut mutated = head.to_vec();
+                mutated[i] = sub;
+                check(&mutated);
+            }
+        }
+        assert!(ok > 0 && err > 0, "{ok} accepted, {err} rejected");
     }
 
     #[test]
