@@ -231,11 +231,6 @@ impl WireCircuit {
         });
     }
 
-    /// Number of macros declared so far.
-    pub fn num_macros(&self) -> usize {
-        self.macros.len()
-    }
-
     /// Adds a gate and returns `(output_wire, gate_id)`.
     ///
     /// # Panics

@@ -351,7 +351,7 @@ pub fn in_graph(ctx: &FileCtx) -> bool {
 
 /// The innermost non-test fn whose body contains `tok_ix` (bodies nest
 /// for inner fns).
-pub fn enclosing_fn(f: &SourceFile, tok_ix: usize) -> Option<(usize, &FnItem)> {
+fn enclosing_fn(f: &SourceFile, tok_ix: usize) -> Option<(usize, &FnItem)> {
     f.fns
         .iter()
         .enumerate()

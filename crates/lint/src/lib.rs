@@ -7,7 +7,7 @@
 //! properties *build-time guarantees* instead of conventions: it scans
 //! every workspace source file at the token level (the workspace is
 //! offline, so `syn` is unavailable; a small lexer strips comments and
-//! literals first) and enforces seven named, allowlistable rules:
+//! literals first) and enforces six named, allowlistable rules:
 //!
 //! | rule | scope | invariant |
 //! |------|-------|-----------|
@@ -17,7 +17,6 @@
 //! | `determinism-taint` | call graph | no nondeterminism source (hash iteration, clock, entropy, thread identity) reachable from a result-affecting entry point |
 //! | `hot-loop-alloc` | call graph | no heap allocation inside solver inner loops or the functions they call |
 //! | `quadratic-scan` | call graph | no linear-time collection work inside collection-sized loops on flow-reachable paths |
-//! | `unbounded-growth` | call graph | long-lived collections with reachable inserts need a reachable eviction/cap path |
 //!
 //! A site is suppressed by `// sdp-lint: allow(<rule>) -- <reason>` on
 //! the same line or up to five lines above; the reason is mandatory.
@@ -31,7 +30,6 @@
 
 pub mod callgraph;
 pub mod complexity;
-pub mod growth;
 pub mod hot;
 pub mod items;
 pub mod lexer;
@@ -195,7 +193,6 @@ pub fn lint_sources(files: &[SourceFile]) -> Vec<Diagnostic> {
     taint::check_determinism_taint(&graph, &mut diags);
     hot::check_hot_loop_alloc(&graph, &mut diags);
     complexity::check_quadratic_scan(&graph, &mut diags);
-    growth::check_unbounded_growth(&graph, &mut diags);
     diags.sort_by(|a, b| {
         (&a.rel_path, a.line, a.col, a.rule).cmp(&(&b.rel_path, b.line, b.col, b.rule))
     });
@@ -228,19 +225,13 @@ pub fn lint_workspace_graph(root: &Path) -> std::io::Result<(Vec<Diagnostic>, us
     Ok((diags, prepared.len(), stats))
 }
 
-/// Locates the workspace root: an explicit argument, else the manifest
-/// dir baked in at compile time (works under `cargo run -p sdp-lint`),
-/// else upward search from the current directory for a `[workspace]`
-/// manifest.
+/// Locates the workspace root: an explicit argument, else the nearest
+/// directory at or above the current one whose `Cargo.toml` declares
+/// `[workspace]`. The current directory decides, never the path this
+/// binary was built from, so a copy of the tree lints the copy.
 pub fn find_root(explicit: Option<&Path>) -> Option<PathBuf> {
     if let Some(p) = explicit {
         return Some(p.to_path_buf());
-    }
-    let compiled = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    if compiled.join("Cargo.toml").is_file() {
-        if let Ok(c) = compiled.canonicalize() {
-            return Some(c);
-        }
     }
     let mut dir = std::env::current_dir().ok()?;
     loop {

@@ -1,4 +1,4 @@
-//! The seven named rules, the per-file `nondeterministic-iter` checker,
+//! The six named rules, the per-file `nondeterministic-iter` checker,
 //! and the token machinery the call-graph passes share.
 //!
 //! Every rule is named and allowlistable: a site is suppressed by a
@@ -49,23 +49,16 @@ pub enum Rule {
     /// domain — in a function reachable from a flow entry point. O(n²)
     /// on netlist-scale inputs (ROADMAP item 4).
     QuadraticScan,
-    /// A collection field of a long-lived type (a struct held in
-    /// `Arc`/`Mutex`/`RwLock`/`static`) with an insert path reachable
-    /// from a request handler or flow root but no reachable
-    /// eviction/cap/clear path — the retention-cap and cache-budget bug
-    /// class PRs 5 and 8 fixed by hand.
-    UnboundedGrowth,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 7] = [
+    pub const ALL: [Rule; 6] = [
         Rule::NondeterministicIter,
         Rule::PanicReachability,
         Rule::LockDiscipline,
         Rule::DeterminismTaint,
         Rule::HotLoopAlloc,
         Rule::QuadraticScan,
-        Rule::UnboundedGrowth,
     ];
 
     /// The kebab-case name used in diagnostics and allow-markers.
@@ -77,7 +70,6 @@ impl Rule {
             Rule::DeterminismTaint => "determinism-taint",
             Rule::HotLoopAlloc => "hot-loop-alloc",
             Rule::QuadraticScan => "quadratic-scan",
-            Rule::UnboundedGrowth => "unbounded-growth",
         }
     }
 
@@ -109,10 +101,6 @@ impl Rule {
                 "use a set/map keyed lookup, hoist the scan out of the loop, or add \
                  `// sdp-lint: allow(quadratic-scan) -- <reason>` stating the size bound"
             }
-            Rule::UnboundedGrowth => {
-                "add a reachable eviction/cap path (budget, retention window, clear), or add \
-                 `// sdp-lint: allow(unbounded-growth) -- <reason>` stating the bound"
-            }
         }
     }
 
@@ -137,10 +125,6 @@ impl Rule {
             Rule::QuadraticScan => {
                 "No linear-time collection scans inside collection-sized loops on flow-reachable \
                  paths"
-            }
-            Rule::UnboundedGrowth => {
-                "Long-lived collections with reachable inserts need a reachable eviction or cap \
-                 path"
             }
         }
     }
@@ -248,24 +232,6 @@ impl Rule {
                  by restructuring to a single pass. A scan whose domain is provably \
                  small (a fixed stage list, a per-group bound) can carry\n\
                  `// sdp-lint: allow(quadratic-scan) -- <reason>` stating the bound."
-            }
-            Rule::UnboundedGrowth => {
-                "PR 5 added the job-record retention cap and PR 8 the result-cache \
-                 byte budget — both after the collections had already shipped \
-                 unbounded. This rule detects the class statically: a struct field \
-                 holding a growable collection, in a type the crate keeps alive \
-                 (wrapped in `Arc`/`Mutex`/`RwLock`/`OnceLock` or stored in a \
-                 `static`), whose insert path (`insert`/`push`/`extend`/`entry`…) \
-                 is reachable from a request handler or flow root while no \
-                 eviction path (`remove`/`pop`/`clear`/`truncate`/`drain`/`retain`…) \
-                 is. Each finding names the growing field, the insert chain from \
-                 its root, and whether an eviction exists but is unreachable.\n\
-                 \n\
-                 Fix by capping at insert time (LRU byte budget, retention window) \
-                 or wiring the eviction into the live path. A collection that is \
-                 bounded by construction (one entry per worker, per preset) can \
-                 carry\n\
-                 `// sdp-lint: allow(unbounded-growth) -- <reason>` stating the bound."
             }
         }
     }

@@ -2,34 +2,16 @@
 //! (marked `//~ ERROR <rule>` in the fixture) and nowhere else, and every
 //! allow-marker must suppress. Plus a self-test that the workspace the
 //! lint ships in is clean — which makes `cargo test` itself enforce the
-//! determinism invariants — and a guard that every crate opts into the
-//! clippy policy that carries the single-file checks.
+//! determinism invariants — a check that the binary lints the workspace
+//! it runs in, and a guard that every crate opts into the clippy policy
+//! that carries the single-file checks.
 
+mod common;
+
+use common::{expectations, fixture, src_file};
 use sdp_lint::{lint_source, FileCtx, Rule};
 use std::collections::BTreeSet;
 use std::path::Path;
-
-fn fixture(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/corpus")
-        .join(name);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-/// Parses `//~ ERROR <rule>` expectations out of a fixture.
-fn expectations(source: &str) -> BTreeSet<(usize, String)> {
-    source
-        .lines()
-        .enumerate()
-        .flat_map(|(i, line)| {
-            line.split("//~ ERROR ")
-                .nth(1)
-                .into_iter()
-                .flat_map(|r| r.split(','))
-                .map(move |r| (i + 1, r.trim().to_string()))
-        })
-        .collect()
-}
 
 /// Lints a fixture as kernel+library code and compares the produced
 /// (line, rule) set against the `//~ ERROR` markers exactly.
@@ -107,21 +89,6 @@ fn test_context_skips_determinism_rules() {
 // ---------------------------------------------------------------------
 // panic-reachability: driven through `lint_sources` with synthetic mini
 // workspaces, since the rule needs the cross-crate call graph.
-
-/// Prepares one synthetic source for the workspace-level passes. Kernel
-/// and library flags stay off so only the call-graph rule speaks.
-fn src_file(crate_name: &str, rel: &str, source: &str) -> sdp_lint::SourceFile {
-    sdp_lint::prepare_source(
-        source,
-        FileCtx {
-            rel_path: rel.into(),
-            crate_name: crate_name.into(),
-            kernel: false,
-            library: false,
-            test_code: false,
-        },
-    )
-}
 
 #[test]
 fn panic_reachability_reports_call_chain() {
@@ -395,6 +362,43 @@ fn workspace_is_clean() {
             .map(|d| d.to_string())
             .collect::<Vec<_>>()
             .join("\n\n")
+    );
+}
+
+#[test]
+fn the_binary_lints_the_workspace_it_runs_in() {
+    // A copy of the tree (the probe workflow) must be linted as the copy,
+    // not as the tree the binary was built from: with no `--root`, the
+    // root is found upward from the current directory.
+    let ws = std::env::temp_dir().join(format!("sdp-lint-cwd-{}", std::process::id()));
+    let gp = ws.join("crates/gp");
+    std::fs::create_dir_all(gp.join("src")).expect("create the scratch workspace");
+    std::fs::write(
+        ws.join("Cargo.toml"),
+        "[workspace]\nmembers = [\"crates/gp\"]\n",
+    )
+    .expect("write the workspace manifest");
+    std::fs::write(gp.join("Cargo.toml"), "[package]\nname = \"sdp-gp\"\n")
+        .expect("write the member manifest");
+    std::fs::write(
+        gp.join("src/lib.rs"),
+        "pub fn keys(m: &std::collections::HashMap<u32, u32>) -> Vec<u32> {\n\
+             m.keys().copied().collect()\n\
+         }\n",
+    )
+    .expect("write the member source");
+
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_sdp-lint"))
+        .current_dir(&gp)
+        .output()
+        .expect("run sdp-lint");
+    std::fs::remove_dir_all(&ws).expect("remove the scratch workspace");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout:\n{stdout}");
+    assert!(
+        stdout.contains("error[nondeterministic-iter]")
+            && stdout.contains("--> crates/gp/src/lib.rs:2:"),
+        "stdout:\n{stdout}"
     );
 }
 

@@ -39,16 +39,6 @@ impl Placement {
         }
     }
 
-    /// Creates a placement from an explicit coordinate vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos.len()` differs from the netlist's cell count when used
-    /// with that netlist (checked lazily by indexing).
-    pub fn from_positions(pos: Vec<Point>) -> Self {
-        Placement { pos }
-    }
-
     /// Number of cells tracked.
     #[inline]
     pub fn len(&self) -> usize {
@@ -77,12 +67,6 @@ impl Placement {
     #[inline]
     pub fn positions(&self) -> &[Point] {
         &self.pos
-    }
-
-    /// Mutable raw coordinate slice.
-    #[inline]
-    pub fn positions_mut(&mut self) -> &mut [Point] {
-        &mut self.pos
     }
 
     /// Absolute position of a pin (cell centre + pin offset).

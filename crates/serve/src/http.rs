@@ -156,12 +156,14 @@ struct Head {
 /// Parses a request head: the bytes before the `\r\n\r\n` terminator.
 /// Pure over its input, so every rejection is testable without a socket.
 ///
-/// Besides the request line it reads only `Content-Length`, but two
-/// rules hold for every field line. A field name holding whitespace is a
-/// 400: RFC 9112 §5.1 forbids it before the colon, and at the start of a
-/// line it is obsolete line folding (§5.2), which a server may reject. A
-/// `Content-Length` value is digits only (`1*DIGIT`, RFC 9110 §8.6), so
-/// `+5` is not a length.
+/// Besides the request line it reads only `Content-Length`, but three
+/// rules hold for every field line. A line is `field-name ":" value`
+/// (RFC 9112 §5), so a line without a colon is a 400, and so is an empty
+/// field name, since a name is a non-empty token (RFC 9110 §5.1). A field
+/// name holding whitespace is a 400: RFC 9112 §5.1 forbids it before the
+/// colon, and at the start of a line it is obsolete line folding (§5.2),
+/// which a server may reject. A `Content-Length` value is digits only
+/// (`1*DIGIT`, RFC 9110 §8.6), so `+5` is not a length.
 fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
     let head = std::str::from_utf8(head)
         .map_err(|_| HttpError::Malformed("non-UTF-8 header block".into()))?;
@@ -182,8 +184,11 @@ fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
     let mut content_length: Option<usize> = None;
     for line in lines {
         let Some((name, value)) = line.split_once(':') else {
-            continue;
+            return Err(HttpError::Malformed("header line without a colon".into()));
         };
+        if name.is_empty() {
+            return Err(HttpError::Malformed("empty header field name".into()));
+        }
         if name.contains([' ', '\t']) {
             return Err(HttpError::Malformed(
                 "whitespace in a header field name".into(),
@@ -360,6 +365,23 @@ mod tests {
         match read_request(&mut server) {
             Err(HttpError::Malformed(m)) => assert!(m.contains("Content-Length"), "{m}"),
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn field_line_without_a_colon_or_name_is_rejected() {
+        for (head, why) in [
+            (&b"GET /healthz HTTP/1.1\r\nHost localhost"[..], "colon"),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length 5", "colon"),
+            (b"GET / HTTP/1.1\r\n: 5", "empty"),
+        ] {
+            match parse_head(head) {
+                Err(HttpError::Malformed(m)) => assert!(m.contains(why), "{m}"),
+                other => panic!(
+                    "{:?}: expected Malformed, got {other:?}",
+                    String::from_utf8_lossy(head)
+                ),
+            }
         }
     }
 
