@@ -55,4 +55,4 @@ pub use density::DensityModel;
 pub use exec::{Executor, MAX_THREADS};
 pub use nesterov::{minimize_nesterov, NesterovOptions, Objective, SolveResult};
 pub use placer::{ExtraTerm, GlobalPlacer, GpConfig, IterationTrace, PlaceStats, LAMBDA_FACTOR};
-pub use wirelength::{eval_wirelength_with, hpwl, WirelengthModel};
+pub use wirelength::{eval_wirelength_with, hpwl, WirelengthKernel, WirelengthModel};

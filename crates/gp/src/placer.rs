@@ -6,7 +6,7 @@ use crate::cluster::{self, Clustering};
 use crate::density::DensityModel;
 use crate::exec::Executor;
 use crate::nesterov::{minimize_nesterov, NesterovOptions, Objective};
-use crate::wirelength::{eval_wirelength_with, hpwl, WirelengthModel};
+use crate::wirelength::{hpwl, WirelengthKernel, WirelengthModel};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use sdp_geom::{Point, Rect};
@@ -134,8 +134,8 @@ struct Composed<'n, 'd, 'e, 't, 'x> {
     grad_full: Vec<Point>,
     dgrad: Vec<Point>,
     density: &'d mut DensityModel,
+    wirelength: &'d mut WirelengthKernel,
     extra: Option<&'e mut (dyn ExtraTerm + 't)>,
-    model: WirelengthModel,
     gamma: f64,
     lambda: f64,
     inner: Rect,
@@ -155,14 +155,9 @@ impl Objective for Composed<'_, '_, '_, '_, '_> {
     fn eval(&mut self, x: &[Point], grad: &mut [Point]) -> f64 {
         self.scatter(x);
         self.grad_full.fill(Point::ORIGIN);
-        let wl = eval_wirelength_with(
-            self.model,
-            self.netlist,
-            &self.pos,
-            self.gamma,
-            &mut self.grad_full,
-            self.exec,
-        );
+        let wl = self
+            .wirelength
+            .eval(&self.pos, self.gamma, &mut self.grad_full, self.exec);
         for g in self.grad_full.iter_mut() {
             *g = *g * self.wl_scale;
         }
@@ -308,6 +303,7 @@ impl GlobalPlacer {
         if let Some(f) = inflation {
             density.set_inflation(f.to_vec());
         }
+        let mut wirelength = WirelengthKernel::new(self.config.model, netlist);
         let bin_w = density.grid().bin_w();
         let bin_h = density.grid().bin_h();
 
@@ -318,7 +314,7 @@ impl GlobalPlacer {
         let mut gamma = 8.0 * bin_w.max(bin_h);
         let (lambda0, wl_scale) = {
             let mut gwl = vec![Point::ORIGIN; pos.len()];
-            eval_wirelength_with(self.config.model, netlist, &pos, gamma, &mut gwl, &exec);
+            wirelength.eval(&pos, gamma, &mut gwl, &exec);
             let mut gd = vec![Point::ORIGIN; pos.len()];
             density.eval_with(netlist, &pos, &mut gd, &exec);
             let swl: f64 = gwl.iter().map(|g| g.manhattan()).sum();
@@ -357,8 +353,8 @@ impl GlobalPlacer {
                     grad_full: vec![Point::ORIGIN; placement.len()],
                     dgrad: vec![Point::ORIGIN; placement.len()],
                     density: &mut density,
+                    wirelength: &mut wirelength,
                     extra: extra.as_deref_mut(),
-                    model: self.config.model,
                     gamma,
                     lambda,
                     inner: region,

@@ -156,14 +156,15 @@ struct Head {
 /// Parses a request head: the bytes before the `\r\n\r\n` terminator.
 /// Pure over its input, so every rejection is testable without a socket.
 ///
-/// Besides the request line it reads only `Content-Length`, but three
+/// Besides the request line it reads only `Content-Length`, but two
 /// rules hold for every field line. A line is `field-name ":" value`
-/// (RFC 9112 §5), so a line without a colon is a 400, and so is an empty
-/// field name, since a name is a non-empty token (RFC 9110 §5.1). A field
-/// name holding whitespace is a 400: RFC 9112 §5.1 forbids it before the
-/// colon, and at the start of a line it is obsolete line folding (§5.2),
-/// which a server may reject. A `Content-Length` value is digits only
-/// (`1*DIGIT`, RFC 9110 §8.6), so `+5` is not a length.
+/// (RFC 9112 §5), so a line without a colon is a 400. A field name is a
+/// token, `1*tchar` (RFC 9110 §5.1, §5.6.2), so an empty name, a name
+/// holding whitespace (RFC 9112 §5.1 forbids it before the colon, and at
+/// the start of a line it is obsolete line folding, §5.2), a delimiter
+/// such as `"` or `(`, or a control byte is a 400. A `Content-Length`
+/// value is digits only (`1*DIGIT`, RFC 9110 §8.6), so `+5` is not a
+/// length.
 fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
     let head = std::str::from_utf8(head)
         .map_err(|_| HttpError::Malformed("non-UTF-8 header block".into()))?;
@@ -186,12 +187,12 @@ fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
         let Some((name, value)) = line.split_once(':') else {
             return Err(HttpError::Malformed("header line without a colon".into()));
         };
-        if name.is_empty() {
-            return Err(HttpError::Malformed("empty header field name".into()));
-        }
-        if name.contains([' ', '\t']) {
+        // A field name is `1*tchar` (RFC 9110 §5.1, §5.6.2): this also
+        // rejects an empty name and whitespace before the colon.
+        if name.is_empty() || !name.bytes().all(is_tchar) {
             return Err(HttpError::Malformed(
-                "whitespace in a header field name".into(),
+                "header field name is empty or not a token (whitespace, a delimiter or a control byte)"
+                    .into(),
             ));
         }
         if name.eq_ignore_ascii_case("content-length") {
@@ -227,6 +228,12 @@ fn parse_head(head: &[u8]) -> Result<Head, HttpError> {
         path,
         content_length,
     })
+}
+
+/// Whether `b` may appear in a token such as a header field name: a
+/// `tchar` of RFC 9110 §5.6.2.
+fn is_tchar(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || b"!#$%&'*+-.^_`|~".contains(&b)
 }
 
 /// Byte offset of the `\r\n\r\n` head terminator at or after `from`, if
@@ -383,6 +390,26 @@ mod tests {
                 ),
             }
         }
+    }
+
+    #[test]
+    fn field_name_must_be_a_token() {
+        for head in [
+            &b"GET / HTTP/1.1\r\nHo\"st: x"[..],
+            b"GET / HTTP/1.1\r\nHo(st): x",
+            b"GET / HTTP/1.1\r\nX\x01Y: 1",
+        ] {
+            match parse_head(head) {
+                Err(HttpError::Malformed(m)) => assert!(m.contains("token"), "{m}"),
+                other => panic!(
+                    "{:?}: expected Malformed, got {other:?}",
+                    String::from_utf8_lossy(head)
+                ),
+            }
+        }
+        // Every tchar kind is still accepted in a name.
+        let head = b"GET / HTTP/1.1\r\nX-a1!#$%&'*+.^_`|~: v";
+        assert!(parse_head(head).is_ok());
     }
 
     #[test]
