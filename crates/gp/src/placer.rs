@@ -138,7 +138,8 @@ struct Composed<'n, 'd, 'e, 't, 'x> {
     extra: Option<&'e mut (dyn ExtraTerm + 't)>,
     gamma: f64,
     lambda: f64,
-    inner: Rect,
+    /// Each movable cell's centre bounds, in `movable` order.
+    bounds: &'n [Bounds],
     wl_scale: f64,
     exec: &'x Executor,
 }
@@ -158,15 +159,12 @@ impl Objective for Composed<'_, '_, '_, '_, '_> {
         let wl = self
             .wirelength
             .eval(&self.pos, self.gamma, &mut self.grad_full, self.exec);
-        for g in self.grad_full.iter_mut() {
-            *g = *g * self.wl_scale;
-        }
         self.dgrad.fill(Point::ORIGIN);
         let dens = self
             .density
             .eval_with(self.netlist, &self.pos, &mut self.dgrad, self.exec);
         for (g, d) in self.grad_full.iter_mut().zip(&self.dgrad) {
-            *g += *d * self.lambda;
+            *g = *g * self.wl_scale + *d * self.lambda;
         }
         let extra_val = match self.extra.as_mut() {
             Some(e) => e.eval(self.netlist, &self.pos, &mut self.grad_full),
@@ -179,13 +177,39 @@ impl Objective for Composed<'_, '_, '_, '_, '_> {
     }
 
     fn project(&self, x: &mut [Point]) {
-        for (k, &c) in self.movable.iter().enumerate() {
-            let m = self.netlist.master_of(c);
-            let hw = (m.width / 2.0).min(self.inner.width() / 2.0);
-            let hh = (m.height / 2.0).min(self.inner.height() / 2.0);
-            x[k].x = x[k].x.clamp(self.inner.x1() + hw, self.inner.x2() - hw);
-            x[k].y = x[k].y.clamp(self.inner.y1() + hh, self.inner.y2() - hh);
+        for (p, b) in x.iter_mut().zip(self.bounds) {
+            p.x = p.x.clamp(b.x.0, b.x.1);
+            p.y = p.y.clamp(b.y.0, b.y.1);
         }
+    }
+}
+
+/// The range a movable cell's centre is clamped to on each axis: the
+/// region shrunk by the cell's half size, or to its centre line when the
+/// cell is larger than the region.
+#[derive(Debug, Clone, Copy)]
+struct Bounds {
+    x: (f64, f64),
+    y: (f64, f64),
+}
+
+impl Bounds {
+    /// Every movable cell's bounds in `region`, in `movable` order. The
+    /// projection runs twice per solver step, so a placement call builds
+    /// these once rather than re-reading each cell's master every time.
+    fn of(netlist: &Netlist, movable: &[CellId], region: Rect) -> Vec<Bounds> {
+        movable
+            .iter()
+            .map(|&c| {
+                let m = netlist.master_of(c);
+                let hw = (m.width / 2.0).min(region.width() / 2.0);
+                let hh = (m.height / 2.0).min(region.height() / 2.0);
+                Bounds {
+                    x: (region.x1() + hw, region.x2() - hw),
+                    y: (region.y1() + hh, region.y2() - hh),
+                }
+            })
+            .collect()
     }
 }
 
@@ -304,6 +328,7 @@ impl GlobalPlacer {
             density.set_inflation(f.to_vec());
         }
         let mut wirelength = WirelengthKernel::new(self.config.model, netlist);
+        let bounds = Bounds::of(netlist, &movable, region);
         let bin_w = density.grid().bin_w();
         let bin_h = density.grid().bin_h();
 
@@ -357,7 +382,7 @@ impl GlobalPlacer {
                     extra: extra.as_deref_mut(),
                     gamma,
                     lambda,
-                    inner: region,
+                    bounds: &bounds,
                     wl_scale,
                     exec: &exec,
                 };
