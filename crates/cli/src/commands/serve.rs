@@ -22,9 +22,13 @@ pub fn run(raw: &[String]) -> Result<(), String> {
     )?;
     let defaults = ServerConfig::default();
     let cfg = ServerConfig {
+        // The library's default port, 0, asks for an ephemeral one (tests);
+        // the command listens on a fixed, documented port.
         port: args.number::<u16>("port")?.unwrap_or(7878),
-        workers: args.number::<usize>("workers")?.unwrap_or(2),
-        queue_depth: args.number::<usize>("queue-depth")?.unwrap_or(16),
+        workers: args.number::<usize>("workers")?.unwrap_or(defaults.workers),
+        queue_depth: args
+            .number::<usize>("queue-depth")?
+            .unwrap_or(defaults.queue_depth),
         retain_terminal: args
             .number::<usize>("retain")?
             .unwrap_or(defaults.retain_terminal),

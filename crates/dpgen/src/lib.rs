@@ -34,8 +34,6 @@ mod glue;
 mod ground_truth;
 mod suite;
 pub mod test_support;
-#[doc(inline)]
-pub use test_support as blocks_for_tests;
 
 pub use circuit::{Gate, GateId, GateKind, WireCircuit, WireId};
 pub use config::{BlockSpec, GenConfig};

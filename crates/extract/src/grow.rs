@@ -397,7 +397,7 @@ pub fn grow_groups(
 mod tests {
     use super::*;
     use crate::{extract, signature::signatures, ExtractConfig};
-    use sdp_dpgen::blocks_for_tests::{lone_adder, lone_alu, lone_shifter};
+    use sdp_dpgen::test_support::{lone_adder, lone_alu, lone_shifter};
     use std::collections::BTreeSet;
 
     #[test]
@@ -460,7 +460,7 @@ mod tests {
 
     #[test]
     fn lone_carry_select_is_mostly_recovered() {
-        let (nl, truth) = sdp_dpgen::blocks_for_tests::lone_carry_select(16, 4);
+        let (nl, truth) = sdp_dpgen::test_support::lone_carry_select(16, 4);
         let r = extract(&nl, &ExtractConfig::default());
         let truth_cells = truth[0].cell_set();
         let extracted: BTreeSet<CellId> = r.groups.iter().flat_map(|g| g.cell_set()).collect();

@@ -100,7 +100,7 @@ impl Relations {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdp_dpgen::blocks_for_tests::lone_adder;
+    use sdp_dpgen::test_support::lone_adder;
 
     #[test]
     fn adder_carry_relations_exist() {

@@ -111,7 +111,7 @@ pub fn signatures(netlist: &Netlist, rounds: usize, max_net_degree: usize) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdp_dpgen::{blocks_for_tests, generate, GenConfig};
+    use sdp_dpgen::{generate, test_support, GenConfig};
 
     #[test]
     fn mix_is_deterministic_and_spread() {
@@ -124,7 +124,7 @@ mod tests {
     fn interior_adder_bits_share_signature() {
         // Build a standalone 8-bit adder and check interior sum-XOR cells
         // collide while the boundary bit differs.
-        let (netlist, truth) = blocks_for_tests::lone_adder(8);
+        let (netlist, truth) = test_support::lone_adder(8);
         let sigs = signatures(&netlist, 2, 6);
         let g = &truth[0];
         // Stage 1 = the sum XOR (see blocks::full_adder ordering).
@@ -141,7 +141,7 @@ mod tests {
 
     #[test]
     fn different_stages_get_different_signatures() {
-        let (netlist, truth) = blocks_for_tests::lone_adder(8);
+        let (netlist, truth) = test_support::lone_adder(8);
         let sigs = signatures(&netlist, 2, 6);
         let g = &truth[0];
         let mid = 4;

@@ -247,9 +247,9 @@ impl Executor {
             let shared_ref = &shared;
             let latch_ref = &latch;
             for _ in 0..helpers {
-                // sdp-lint: allow(hot-loop-alloc) -- one small Box per helper
-                // thread per dispatch (threads-1 boxes), amortized over a
-                // whole chunk of work; an arena would not be observable here.
+                // One small Box per helper thread per dispatch, amortized
+                // over a whole chunk of work; `tests/solver_alloc.rs` bounds
+                // what a solver step allocates in all.
                 let job: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
                     drain(shared_ref);
                     latch_ref.count_down();
@@ -291,8 +291,6 @@ impl Executor {
         T: Send,
         F: Fn(usize) -> T + Sync,
     {
-        // sdp-lint: allow(hot-loop-alloc) -- the result buffer itself;
-        // map's contract is to return a fresh Vec<T> per call.
         let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
         slots.resize_with(n, || None);
         self.for_each_mut(&mut slots, |i, slot| *slot = Some(f(i)));
@@ -302,8 +300,6 @@ impl Executor {
             // only after every job ran, and each job fills its own slot; an
             // empty slot is a broken executor invariant worth crashing on.
             .map(|s| s.expect("every job index was drained"))
-            // sdp-lint: allow(hot-loop-alloc) -- unwrapping the slot buffer
-            // into the returned Vec<T>; this is map's result allocation.
             .collect()
     }
 }

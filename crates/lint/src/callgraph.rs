@@ -18,7 +18,7 @@
 
 use crate::items::FnItem;
 use crate::lexer::{CleanFile, Tok};
-use crate::rules::{Diagnostic, FileCtx, Rule};
+use crate::rules::{is_ident, Diagnostic, FileCtx, Rule};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// Crates whose `pub fn`s are flow entry points besides the CLI.
@@ -136,9 +136,9 @@ impl<'a> Graph<'a> {
             by_pos.insert((n.file_ix, n.fn_ix), id);
         }
 
-        // Resolve every node's call sites eagerly: the new rule families
-        // (determinism taint, hot-loop allocation, lock discipline) walk
-        // edges from their own root sets, not just the flow roots.
+        // Resolve every node's call sites eagerly: determinism taint and
+        // lock discipline walk edges from their own root sets, not just
+        // the flow roots.
         let mut all_calls: Vec<Vec<Call>> = Vec::with_capacity(nodes.len());
         for n in &nodes {
             let f = &files[n.file_ix];
@@ -514,12 +514,6 @@ fn resolve(
     }
     let _ = call.is_method;
     named.clone()
-}
-
-pub(crate) fn is_ident(s: &str) -> bool {
-    s.chars()
-        .next()
-        .is_some_and(|c| c.is_alphabetic() || c == '_')
 }
 
 /// One potential panic site.

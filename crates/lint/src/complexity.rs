@@ -1,14 +1,17 @@
 //! The `quadratic-scan` rule: linear-time collection work inside
 //! collection-sized loops, on call paths reachable from flow roots.
 //!
-//! ROADMAP item 4 scales the flow to 100k–1M-cell designs, where an
-//! accidental O(n²) pattern — a membership scan per inserted element, a
-//! `remove(0)` per drained item, a whole-collection sort per pass —
-//! turns seconds into hours. The analysis is lexical-plus-interprocedural:
-//! token scanning decides what is a collection-sized loop and what is a
-//! linear-time site, the call graph decides whether the enclosing
-//! function is on a production path at all, and the diagnostic prints
-//! the same root→function chain the panic-reachability rule does.
+//! An accidental O(n²) pattern — a membership scan per inserted element,
+//! a `remove(0)` per drained item, a whole-collection sort per pass — can
+//! hide where no timing gate looks: a per-cell `movable.iter().position`
+//! in `DensityModel::new` took `place_huge`'s global placement from
+//! 4.2–4.9 s to 4.9–6.2 s, and the perf gate passed (DESIGN.md §7).
+//!
+//! The analysis is lexical-plus-interprocedural: token scanning decides
+//! what is a collection-sized loop and what is a linear-time site, the
+//! call graph decides whether the enclosing function is on a production
+//! path at all, and the diagnostic prints the same root→function chain
+//! the panic-reachability rule does.
 //!
 //! The collection-sized test is name-based: a loop counts when its
 //! header (between the `for`/`while` keyword and the body `{`) mentions
@@ -18,9 +21,10 @@
 //! the pinned false-positive class in the corpus.
 
 use crate::callgraph::{Graph, NodeId};
-use crate::hot::{loop_spans, LoopSpan};
 use crate::lexer::Tok;
-use crate::rules::{chain_has, diag_if_unsuppressed, matches_seq, Diagnostic, Rule};
+use crate::rules::{
+    chain_has, diag_if_unsuppressed, is_ident, matches_seq, matching_close, Diagnostic, Rule,
+};
 
 /// Growable collection types whose loops count as collection-sized.
 const COLL_TYPES: &[&str] = &[
@@ -38,6 +42,58 @@ const LINEAR_TYPES: &[&str] = &["Vec", "VecDeque"];
 
 /// Methods that are O(len) on a vector-like receiver.
 const LINEAR_METHODS: &[&str] = &["contains", "remove", "insert"];
+
+/// One lexical loop region: the keyword, and the body braces.
+struct LoopSpan {
+    kw: usize,
+    body_open: usize,
+    body_close: usize,
+}
+
+/// Lexical loop regions (`for`/`while`/`loop`) in a fn body.
+fn loop_spans(toks: &[Tok], open: usize, close: usize) -> Vec<LoopSpan> {
+    let mut out = Vec::new();
+    for kw in open + 1..close {
+        match toks[kw].text.as_str() {
+            "for" => {
+                // `for<'a>` (HRTB) is not a loop.
+                if toks.get(kw + 1).map(|t| t.text.as_str()) == Some("<") {
+                    continue;
+                }
+            }
+            "while" | "loop" => {}
+            _ => continue,
+        }
+        // `break 'label loop`? No — `loop` after `break` is a label-less
+        // value break; only a `{` right after counts, which the scan
+        // below requires anyway.
+        // Find the body `{`: first brace at bracket/paren depth 0 after
+        // the keyword (struct literals can't appear un-parenthesized in
+        // loop headers, so this is the body).
+        let mut depth = 0i32;
+        let mut body_open = None;
+        for (j, t) in toks.iter().enumerate().take(close).skip(kw + 1) {
+            match t.text.as_str() {
+                "(" | "[" => depth += 1,
+                ")" | "]" => depth -= 1,
+                "{" if depth == 0 => {
+                    body_open = Some(j);
+                    break;
+                }
+                ";" if depth == 0 => break,
+                _ => {}
+            }
+        }
+        if let Some(bo) = body_open {
+            out.push(LoopSpan {
+                kw,
+                body_open: bo,
+                body_close: matching_close(toks, bo),
+            });
+        }
+    }
+    out
+}
 
 /// Runs the `quadratic-scan` rule over the workspace graph.
 pub fn check_quadratic_scan(graph: &Graph<'_>, out: &mut Vec<Diagnostic>) {
@@ -275,7 +331,7 @@ fn slice_param_names(toks: &[Tok], fn_tok: usize, body_open: usize) -> Vec<Strin
     let mut out = Vec::new();
     let mut k = fn_tok + 1;
     while k < body_open {
-        if toks[k].text == ":" && k > fn_tok + 1 && crate::callgraph::is_ident(&toks[k - 1].text) {
+        if toks[k].text == ":" && k > fn_tok + 1 && is_ident(&toks[k - 1].text) {
             let name = &toks[k - 1].text;
             // Skip `&`, `'lifetime`, `mut` to the type head.
             let mut j = k + 1;

@@ -10,6 +10,7 @@
 //! (generics, lifetimes, where-clauses, trait bounds) is skipped over.
 
 use crate::lexer::Tok;
+use crate::rules::{is_ident, matching_close};
 
 /// One function item recovered from a file.
 #[derive(Debug, Clone)]
@@ -92,7 +93,7 @@ pub fn parse_items(toks: &[Tok], crate_name: &str) -> Vec<FnItem> {
                 // module — the file it names carries its own items.
                 let name = toks.get(i + 1).map(|t| t.text.clone()).unwrap_or_default();
                 if toks.get(i + 2).map(|t| t.text.as_str()) == Some("{") {
-                    let end = matching_brace(toks, i + 2);
+                    let end = matching_close(toks, i + 2);
                     let test = attr_window(toks, i).test;
                     scopes.push(Scope::Mod { name, end, test });
                     i += 3;
@@ -109,7 +110,7 @@ pub fn parse_items(toks: &[Tok], crate_name: &str) -> Vec<FnItem> {
                     j += 1;
                 }
                 if j < toks.len() && toks[j].text == "{" {
-                    let end = matching_brace(toks, j);
+                    let end = matching_close(toks, j);
                     scopes.push(Scope::Impl {
                         self_type: impl_self_type(&toks[i + 1..j]),
                         end,
@@ -134,7 +135,7 @@ pub fn parse_items(toks: &[Tok], crate_name: &str) -> Vec<FnItem> {
                         "(" | "[" => depth += 1,
                         ")" | "]" => depth -= 1,
                         "{" if depth == 0 => {
-                            body = Some((j, matching_brace(toks, j)));
+                            body = Some((j, matching_close(toks, j)));
                             break;
                         }
                         ";" if depth == 0 => break,
@@ -187,7 +188,7 @@ pub fn parse_items(toks: &[Tok], crate_name: &str) -> Vec<FnItem> {
             }
             "{" => {
                 scopes.push(Scope::Other {
-                    end: matching_brace(toks, i),
+                    end: matching_close(toks, i),
                 });
                 i += 1;
             }
@@ -195,24 +196,6 @@ pub fn parse_items(toks: &[Tok], crate_name: &str) -> Vec<FnItem> {
         }
     }
     out
-}
-
-/// Index of the `}` matching the `{` at `open` (or last token).
-fn matching_brace(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// The self type of an `impl` header: the first path segment after `for`
@@ -245,12 +228,6 @@ fn impl_self_type(header: &[Tok]) -> Option<String> {
     seg.iter()
         .find(|t| is_ident(&t.text) && !matches!(t.text.as_str(), "dyn" | "mut" | "const"))
         .map(|t| t.text.clone())
-}
-
-fn is_ident(s: &str) -> bool {
-    s.chars()
-        .next()
-        .is_some_and(|c| c.is_alphabetic() || c == '_')
 }
 
 #[derive(Debug, Default)]

@@ -25,11 +25,11 @@
 //! scoped by the acquiring crate so same-named locks in different
 //! crates never alias.
 
-use crate::callgraph::{in_graph, is_ident, Graph, NodeId};
+use crate::callgraph::{in_graph, Graph, NodeId};
 use crate::lexer::Tok;
 use crate::rules::{
-    diag_if_unsuppressed, matching_brace, matching_open, matching_paren, statement_end,
-    statement_start, Diagnostic, Rule,
+    diag_if_unsuppressed, is_ident, matching_close, matching_open, statement_end, statement_start,
+    Diagnostic, Rule,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -376,7 +376,7 @@ fn analyze(graph: &Graph<'_>) -> Analysis {
 /// First identifier inside the parens opened at `open` (skipping `&` /
 /// `mut`).
 fn first_arg_ident(toks: &[Tok], open: usize) -> Option<String> {
-    let close = matching_paren(toks, open);
+    let close = matching_close(toks, open);
     toks[open + 1..close]
         .iter()
         .find(|t| is_ident(&t.text) && t.text != "mut")
@@ -399,7 +399,7 @@ fn acquisitions(toks: &[Tok], open: usize, close: usize) -> Vec<Acq> {
         let name = if method_acq {
             receiver_name(toks, k - 1)
         } else if helper_acq {
-            let end = matching_paren(toks, k + 1);
+            let end = matching_close(toks, k + 1);
             toks[k + 2..end]
                 .iter()
                 .rev()
@@ -446,7 +446,7 @@ fn acquisitions(toks: &[Tok], open: usize, close: usize) -> Vec<Acq> {
             // scrutinee (the temporary is kept alive for every arm).
             let e = statement_end(toks, k);
             if toks.get(e).map(|t| t.text.as_str()) == Some("{") {
-                (None, matching_brace(toks, e))
+                (None, matching_close(toks, e))
             } else {
                 (None, e)
             }
@@ -473,14 +473,14 @@ fn binds_guard(toks: &[Tok], k: usize, method_acq: bool) -> bool {
     let mut e = if method_acq {
         k + 3
     } else {
-        matching_paren(toks, k + 1) + 1
+        matching_close(toks, k + 1) + 1
     };
     while e + 2 < toks.len()
         && toks[e].text == "."
         && matches!(toks[e + 1].text.as_str(), "unwrap" | "expect")
         && toks[e + 2].text == "("
     {
-        e = matching_paren(toks, e + 2) + 1;
+        e = matching_close(toks, e + 2) + 1;
     }
     toks.get(e).map(|t| t.text.as_str()) == Some(";")
 }
@@ -517,7 +517,7 @@ fn enclosing_block_end(toks: &[Tok], open: usize, k: usize) -> usize {
         }
     }
     match stack.last() {
-        Some(&o) => matching_brace(toks, o),
+        Some(&o) => matching_close(toks, o),
         None => k,
     }
 }

@@ -91,8 +91,8 @@ fn main() -> ExitCode {
                      Lints the sdplace workspace for determinism, soundness,\n\
                      scalability, and concurrency invariants (hash iteration in\n\
                      kernels, plus call-graph panic-reachability,\n\
-                     lock-discipline, determinism-taint, hot-loop-alloc,\n\
-                     quadratic-scan). Exits 1 when violations are found.\n\n\
+                     lock-discipline, determinism-taint, quadratic-scan).\n\
+                     Exits 1 when violations are found.\n\n\
                      --format sarif emits a SARIF 2.1.0 document for CI code scanning;\n\
                      --output writes the report to a file instead of stdout;\n\
                      --stats prints per-crate call-graph reachability;\n\

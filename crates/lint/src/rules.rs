@@ -1,4 +1,4 @@
-//! The six named rules, the per-file `nondeterministic-iter` checker,
+//! The five named rules, the per-file `nondeterministic-iter` checker,
 //! and the token machinery the call-graph passes share.
 //!
 //! Every rule is named and allowlistable: a site is suppressed by a
@@ -37,27 +37,22 @@ pub enum Rule {
     /// serialization) — its output can vary run-to-run and leak into
     /// placement results. The diagnostic prints the full call chain.
     DeterminismTaint,
-    /// A heap allocation (`Vec::new`, `collect`, `clone`, `format!`, …)
-    /// inside the solver's inner loops — functions the call graph marks
-    /// as reachable from the Nesterov iteration body. Per-iteration
-    /// allocation is the hot-path bug class PR 6 fixed by hand.
-    HotLoopAlloc,
     /// A linear-time collection operation (`contains`, `iter().position`,
     /// `remove(idx)`, `insert(idx, _)`, repeated `sort`/whole-collection
     /// `collect`) inside a loop whose iteration domain is itself
     /// collection-sized — or nested loops over the same collection-sized
     /// domain — in a function reachable from a flow entry point. O(n²)
-    /// on netlist-scale inputs (ROADMAP item 4).
+    /// on netlist-scale inputs, and inside global placement no timing
+    /// gate sees it (DESIGN.md §7).
     QuadraticScan,
 }
 
 impl Rule {
-    pub const ALL: [Rule; 6] = [
+    pub const ALL: [Rule; 5] = [
         Rule::NondeterministicIter,
         Rule::PanicReachability,
         Rule::LockDiscipline,
         Rule::DeterminismTaint,
-        Rule::HotLoopAlloc,
         Rule::QuadraticScan,
     ];
 
@@ -68,7 +63,6 @@ impl Rule {
             Rule::PanicReachability => "panic-reachability",
             Rule::LockDiscipline => "lock-discipline",
             Rule::DeterminismTaint => "determinism-taint",
-            Rule::HotLoopAlloc => "hot-loop-alloc",
             Rule::QuadraticScan => "quadratic-scan",
         }
     }
@@ -93,10 +87,6 @@ impl Rule {
                 "sort the iteration, inject the clock through sdp-progress, keep the value out \
                  of result bodies, or add `// sdp-lint: allow(determinism-taint) -- <reason>`"
             }
-            Rule::HotLoopAlloc => {
-                "hoist the buffer into a reused scratch field (see gp::wirelength::NetScratch), \
-                 or add `// sdp-lint: allow(hot-loop-alloc) -- <reason>`"
-            }
             Rule::QuadraticScan => {
                 "use a set/map keyed lookup, hoist the scan out of the loop, or add \
                  `// sdp-lint: allow(quadratic-scan) -- <reason>` stating the size bound"
@@ -118,9 +108,6 @@ impl Rule {
             Rule::DeterminismTaint => {
                 "No nondeterministic sources in functions reachable from result-affecting entry \
                  points"
-            }
-            Rule::HotLoopAlloc => {
-                "No per-iteration heap allocation in functions called from solver inner loops"
             }
             Rule::QuadraticScan => {
                 "No linear-time collection scans inside collection-sized loops on flow-reachable \
@@ -199,28 +186,16 @@ impl Rule {
                  that only decides *whether* a job completes) can carry\n\
                  `// sdp-lint: allow(determinism-taint) -- <reason>`."
             }
-            Rule::HotLoopAlloc => {
-                "The call graph marks functions invoked from the Nesterov solver's \
-                 iteration body (`gp::minimize_nesterov`) as solver-inner. A heap \
-                 allocation there — `Vec::new`, `with_capacity`, `collect`, zero-arg \
-                 `clone`, `format!`, \
-                 `to_vec`/`to_string`/`to_owned`, `Box::new` — runs per evaluation × \
-                 per net/cell, exactly the allocation class PR 6 hand-hoisted out of \
-                 the wirelength and optimizer loops.\n\
-                 \n\
-                 Fix by hoisting the buffer into a caller-owned scratch struct that \
-                 is cleared and refilled (see `gp::wirelength::NetScratch`). An \
-                 allocation that amortizes (one exact-sized buffer per chunk, not \
-                 per item) can carry\n\
-                 `// sdp-lint: allow(hot-loop-alloc) -- <reason>`."
-            }
             Rule::QuadraticScan => {
-                "ROADMAP item 4 targets 100k–1M-cell designs, where an accidental \
-                 O(n²) scan is the difference between seconds and hours. The \
-                 analysis walks every function the call graph shows is reachable \
-                 from a flow entry point, finds loops whose iteration domain is a \
-                 growable collection (a `Vec`/map/set local, parameter, field, or \
-                 slice), and flags linear-time work inside them: \
+                "An accidental O(n²) scan can cost seconds and still pass the perf \
+                 gate: a per-cell `movable.iter().position` in `DensityModel::new` \
+                 took `place_huge`'s global placement from 4.2–4.9 s to 4.9–6.2 s, \
+                 inside the gate's 25% wall-time bound, and per-layer times are not \
+                 gated. The analysis walks every function the call graph shows is \
+                 reachable from a flow entry point, finds loops whose iteration \
+                 domain is a growable collection (a `Vec`/map/set local, \
+                 parameter, field, or slice), and flags linear-time work inside \
+                 them: \
                  `contains`/`remove(idx)`/`insert(idx, _)` on vector-like values, \
                  `iter().position(…)`, repeated whole-collection `sort`/`collect`, \
                  and nested loops ranging over the *same* collection-sized domain. \
@@ -392,7 +367,7 @@ pub(crate) fn test_mod_lines(toks: &[Tok]) -> Vec<(usize, usize)> {
                 k += 1;
             }
             if k < toks.len() {
-                let end = matching_brace(toks, k);
+                let end = matching_close(toks, k);
                 ranges.push((toks[i].line, toks[end.min(toks.len() - 1)].line));
                 i = end;
                 continue;
@@ -413,22 +388,27 @@ pub(crate) fn matches_seq(toks: &[Tok], start: usize, seq: &[&str]) -> bool {
         .all(|(k, s)| toks.get(start + k).map(|t| t.text.as_str()) == Some(*s))
 }
 
-/// Index of the `}` matching the `{` at `open` (or last token).
-pub(crate) fn matching_brace(toks: &[Tok], open: usize) -> usize {
+/// Index of the `}`/`)` matching the `{`/`(` at `open` (forward scan;
+/// the last token when nothing matches).
+pub(crate) fn matching_close(toks: &[Tok], open: usize) -> usize {
+    let (open_s, close_s) = match toks[open].text.as_str() {
+        "{" => ("{", "}"),
+        "(" => ("(", ")"),
+        _ => return open,
+    };
     let mut depth = 0i32;
     for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
+        let s = t.text.as_str();
+        if s == open_s {
+            depth += 1;
+        } else if s == close_s {
+            depth -= 1;
+            if depth == 0 {
+                return k;
             }
-            _ => {}
         }
     }
-    toks.len() - 1
+    toks.len().saturating_sub(1)
 }
 
 /// Index of the `(`/`[` matching the `)`/`]` at `close` (backward scan).
@@ -451,24 +431,6 @@ pub(crate) fn matching_open(toks: &[Tok], close: usize) -> usize {
         }
     }
     0
-}
-
-/// Index of the `)` matching the `(` at `open` (or last token).
-pub(crate) fn matching_paren(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().skip(open) {
-        match t.text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
-            }
-            _ => {}
-        }
-    }
-    toks.len().saturating_sub(1)
 }
 
 fn is_open(t: &str) -> bool {
@@ -682,7 +644,7 @@ pub(crate) fn tracked_names(toks: &[Tok], type_names: &[&str]) -> Vec<String> {
                     i = j;
                     continue;
                 }
-                let end = matching_brace(toks, j);
+                let end = matching_close(toks, j);
                 let mut depth = 0i32;
                 let mut seg_start = j + 1;
                 for k in j..=end {
@@ -709,7 +671,8 @@ pub(crate) fn tracked_names(toks: &[Tok], type_names: &[&str]) -> Vec<String> {
     names
 }
 
-fn is_ident(s: &str) -> bool {
+/// Whether a token starts like an identifier (or keyword).
+pub(crate) fn is_ident(s: &str) -> bool {
     s.chars()
         .next()
         .is_some_and(|c| c.is_alphabetic() || c == '_')

@@ -1,5 +1,5 @@
 //! Regression tests for the workspace-level concurrency & determinism
-//! families: lock-discipline, determinism-taint, and hot-loop-alloc.
+//! families: lock-discipline and determinism-taint.
 //!
 //! Each family gets (a) a seeded fixture corpus checked exactly against
 //! `//~ ERROR` markers — including at least one pinned known-false-
@@ -189,75 +189,6 @@ fn library_clock_reads_are_left_to_clippy_but_entropy_is_not() {
     let diags = sdp_lint::lint_sources(&[s]);
     assert_eq!(diags.len(), 1, "{diags:#?}");
     assert_eq!((diags[0].rule, diags[0].line), (Rule::DeterminismTaint, 3));
-}
-
-// ---------------------------------------------------------------------
-// hot-loop-alloc
-
-#[test]
-fn hot_loop_alloc_fires_and_suppresses() {
-    // Seeds: a vec! in the root's iteration loop, allocations in two
-    // loop-called helpers, a marker-suppressed helper, a top-of-body
-    // scratch buffer (negative), a for-header clone (pinned negative),
-    // and a constructor outside every loop (negative).
-    let diags = check_graph("hot_loop_alloc.rs", "gp");
-    let helper = diags
-        .iter()
-        .find(|d| d.message.contains("gp::inner"))
-        .unwrap_or_else(|| panic!("no loop-called helper finding: {diags:#?}"));
-    assert!(
-        helper
-            .notes
-            .iter()
-            .any(|n| n.contains("solver-inner via") && n.contains("minimize_nesterov")),
-        "the loop→helper chain must be printed: {:#?}",
-        helper.notes
-    );
-}
-
-#[test]
-fn for_header_clone_is_pinned_clean() {
-    // Pinned false-positive guard: `for i in r.clone()` evaluates the
-    // clone once when the loop starts, not once per iteration.
-    let s = src_file(
-        "gp",
-        "crates/gp/src/nesterov.rs",
-        "pub fn minimize_nesterov(n: usize) -> usize {\n\
-             let r = 0..n;\n\
-             let mut acc = 0;\n\
-             for i in r.clone() {\n\
-                 acc += i;\n\
-             }\n\
-             acc\n\
-         }\n",
-    );
-    let diags = sdp_lint::lint_sources(&[s]);
-    assert!(diags.is_empty(), "{diags:#?}");
-}
-
-#[test]
-fn hot_roots_outside_gp_do_not_seed() {
-    // A serve-side fn that happens to share a root name must not pull
-    // its callees into the hot set.
-    let s = src_file(
-        "serve",
-        "crates/serve/src/engine.rs",
-        "pub fn minimize_nesterov(n: usize) -> Vec<usize> {\n\
-             let mut v = Vec::new();\n\
-             for i in 0..n {\n\
-                 v.push(helper(i));\n\
-             }\n\
-             v\n\
-         }\n\
-         fn helper(i: usize) -> usize {\n\
-             format!(\"{i}\").len()\n\
-         }\n",
-    );
-    let diags = sdp_lint::lint_sources(&[s]);
-    assert!(
-        diags.iter().all(|d| d.rule != Rule::HotLoopAlloc),
-        "{diags:#?}"
-    );
 }
 
 // ---------------------------------------------------------------------

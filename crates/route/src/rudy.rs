@@ -87,33 +87,27 @@ fn splat_net(
     });
 }
 
-/// Summary statistics of a RUDY map: `(max, mean)` demand density.
-pub fn rudy_stats(demand: &[f64]) -> (f64, f64) {
-    let max = demand.iter().copied().fold(0.0, f64::max);
-    let mean = if demand.is_empty() {
-        0.0
-    } else {
-        demand.iter().sum::<f64>() / demand.len() as f64
-    };
-    (max, mean)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdp_dpgen::{generate, GenConfig};
     use sdp_gp::{GlobalPlacer, GpConfig};
 
+    /// The peak demand density of a RUDY map.
+    fn peak(demand: &[f64]) -> f64 {
+        demand.iter().copied().fold(0.0, f64::max)
+    }
+
     #[test]
     fn clustered_placement_has_hotter_rudy() {
         let mut d = generate(&GenConfig::named("dp_tiny", 1).unwrap());
         // All cells stacked at the centre: extreme local demand.
         let (_, demand_stacked) = rudy_map(&d.netlist, &d.placement, &d.design, 16, 16);
-        let (max_stacked, _) = rudy_stats(&demand_stacked);
+        let max_stacked = peak(&demand_stacked);
 
         GlobalPlacer::new(GpConfig::fast()).place(&d.netlist, &d.design, &mut d.placement, None);
         let (_, demand_spread) = rudy_map(&d.netlist, &d.placement, &d.design, 16, 16);
-        let (max_spread, _) = rudy_stats(&demand_spread);
+        let max_spread = peak(&demand_spread);
 
         assert!(
             max_spread < max_stacked,

@@ -39,6 +39,7 @@ use crate::canon;
 use crate::metrics::Metrics;
 use crate::spec::{CaseSource, JobSpec};
 use crate::store::{JobStore, StoredRecord};
+use crate::ServerConfig;
 use sdp_core::{
     CancelToken, Cancelled, FlowOutput, MonotonicClock, Observer, Phase, PhaseTimes, ProgressSink,
     StructurePlacer,
@@ -49,47 +50,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
-
-/// Worker-pool sizing, queue bound, cache budget, and persistence.
-#[derive(Debug, Clone)]
-pub struct EngineConfig {
-    /// Worker threads. `0` is allowed (jobs queue but never run) — used
-    /// by backpressure tests and drain-only setups.
-    pub workers: usize,
-    /// Bounded queue depth; submissions beyond it are rejected (429).
-    pub queue_depth: usize,
-    /// Terminal-state records (Done/Failed/Cancelled) retained for
-    /// clients to fetch; once exceeded, the oldest are evicted and
-    /// their ids answer 404. Bounds server memory — result bodies can
-    /// be large, and a long-running server must not grow per completed
-    /// job forever.
-    pub retain_terminal: usize,
-    /// Byte budget for the content-addressed result cache (`0`
-    /// disables caching; coalescing still applies to in-flight jobs).
-    pub cache_bytes: usize,
-    /// Directory for the persistent job store; `None` keeps all state
-    /// in memory. The log inside is replayed on startup.
-    pub state_dir: Option<std::path::PathBuf>,
-    /// Kernel threads given to jobs whose spec leaves `gp.threads` at
-    /// `0` ("available parallelism"). `0` keeps that meaning; a
-    /// positive value pins the per-job default (`--threads`). Never
-    /// part of the canonical hash — results are bitwise identical at
-    /// every thread count.
-    pub default_threads: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            workers: 2,
-            queue_depth: 16,
-            retain_terminal: 256,
-            cache_bytes: 64 * 1024 * 1024,
-            state_dir: None,
-            default_threads: 0,
-        }
-    }
-}
 
 /// A job's lifecycle state.
 #[derive(Debug, Clone, PartialEq)]
@@ -235,7 +195,7 @@ struct JobsState {
 }
 
 struct Shared {
-    cfg: EngineConfig,
+    cfg: ServerConfig,
     queue: Mutex<VecDeque<(u64, JobSpec)>>,
     available: Condvar,
     jobs: Mutex<JobsState>,
@@ -386,7 +346,8 @@ impl Engine {
     /// replays the record log: terminal records are restored (so their
     /// ids keep answering), the result cache is warmed from replayed
     /// bodies, and the log is compacted to the surviving records.
-    pub fn start(cfg: EngineConfig) -> std::io::Result<Engine> {
+    /// `cfg.port` is the HTTP front end's and is ignored here.
+    pub fn start(cfg: ServerConfig) -> std::io::Result<Engine> {
         let mut cache = ResultCache::new(cfg.cache_bytes);
         let mut records: BTreeMap<u64, JobRecord> = BTreeMap::new();
         let mut store = None;
@@ -861,7 +822,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                 started,
             };
             let obs = Observer::new(Arc::new(MonotonicClock::new()), Arc::new(sink));
-            run_job(&spec, &obs, shared.cfg.default_threads)
+            run_job(&spec, &obs, shared.cfg.threads)
         }));
 
         // Cache a successful body before publishing any job state, so
@@ -887,24 +848,15 @@ fn worker_loop(shared: &Arc<Shared>) {
         // has not already detached (detached ids keep their Cancelled
         // state — they were persisted when they detached).
         let targets = std::iter::once(id).chain(attached);
-        match outcome {
+        // What the outcome sets on each id: its state, a result's body
+        // and timings or an error, and the counter each id adds to.
+        let (state, done, error, counter) = match outcome {
             Ok(Ok((body, times))) => {
                 shared.metrics.observe_phases(&times);
                 // `completed` counts placements that produced a result:
                 // exactly one however many submissions share the bytes.
                 shared.metrics.completed.fetch_add(1, Ordering::Relaxed);
-                for target in targets {
-                    let Some(r) = jobs.records.get_mut(&target) else {
-                        continue;
-                    };
-                    if r.state.is_terminal() {
-                        continue;
-                    }
-                    r.state = JobState::Done;
-                    r.result = Some(body.clone());
-                    r.times = Some(times);
-                    stored.push(stored_record(target, r));
-                }
+                (JobState::Done, Some((body, times)), None, None)
             }
             Ok(Err(Cancelled)) => {
                 let reason = jobs
@@ -912,36 +864,36 @@ fn worker_loop(shared: &Arc<Shared>) {
                     .get(&id)
                     .and_then(|r| r.error.clone())
                     .unwrap_or_else(|| "cancelled".to_string());
-                for target in targets {
-                    let Some(r) = jobs.records.get_mut(&target) else {
-                        continue;
-                    };
-                    if r.state.is_terminal() {
-                        continue;
-                    }
-                    r.state = JobState::Cancelled;
-                    if r.error.is_none() {
-                        r.error = Some(reason.clone());
-                    }
-                    shared.metrics.cancelled.fetch_add(1, Ordering::Relaxed);
-                    stored.push(stored_record(target, r));
-                }
+                let counter = &shared.metrics.cancelled;
+                (JobState::Cancelled, None, Some(reason), Some(counter))
             }
             Err(payload) => {
                 let msg = format!("job panicked: {}", panic_message(payload.as_ref()));
-                for target in targets {
-                    let Some(r) = jobs.records.get_mut(&target) else {
-                        continue;
-                    };
-                    if r.state.is_terminal() {
-                        continue;
-                    }
-                    r.state = JobState::Failed;
-                    r.error = Some(msg.clone());
-                    shared.metrics.failed.fetch_add(1, Ordering::Relaxed);
-                    stored.push(stored_record(target, r));
-                }
+                let counter = &shared.metrics.failed;
+                (JobState::Failed, None, Some(msg), Some(counter))
             }
+        };
+        for target in targets {
+            let Some(r) = jobs.records.get_mut(&target) else {
+                continue;
+            };
+            if r.state.is_terminal() {
+                continue;
+            }
+            if let Some((body, times)) = &done {
+                r.result = Some(body.clone());
+                r.times = Some(*times);
+            }
+            // A cancelled id keeps the reason it was cancelled for; a
+            // panic overrides any.
+            if state == JobState::Failed || r.error.is_none() {
+                r.error.clone_from(&error);
+            }
+            r.state = state.clone();
+            if let Some(counter) = counter {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+            stored.push(stored_record(target, r));
         }
         prune_terminal(&mut jobs, shared.cfg.retain_terminal);
         drop(jobs);
@@ -1130,11 +1082,11 @@ mod tests {
         // Cache disabled and submissions sequential, so the second job
         // genuinely re-runs placement — this pins the determinism
         // invariant itself, not the cache shortcut built on it.
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 4,
             queue_depth: 8,
             cache_bytes: 0,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let spec = r#"{"design": {"preset": "dp_tiny", "seed": 11}}"#;
@@ -1157,10 +1109,10 @@ mod tests {
 
     #[test]
     fn cache_hit_returns_identical_bytes_without_rerunning() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let spec = r#"{"design": {"preset": "dp_tiny", "seed": 21}}"#;
@@ -1201,10 +1153,10 @@ mod tests {
 
     #[test]
     fn concurrent_identical_specs_run_placement_once() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let spec = r#"{"design": {"preset": "dp_tiny", "seed": 31}}"#;
@@ -1237,10 +1189,10 @@ mod tests {
 
     #[test]
     fn overflowing_deadline_is_clamped_and_the_worker_survives() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         // The HTTP layer caps deadline_ms at parse time, so build the
@@ -1269,9 +1221,9 @@ mod tests {
 
     #[test]
     fn workers_are_live_as_soon_as_start_returns() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 3,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let metrics = engine.metrics_text();
@@ -1300,9 +1252,9 @@ mod tests {
 
     #[test]
     fn a_primarys_deadline_does_not_cancel_its_waiters() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let (a, b) = coalesced_pair(&engine, r#", "deadline_ms": 50"#, "");
@@ -1319,9 +1271,9 @@ mod tests {
 
     #[test]
     fn a_waiters_deadline_detaches_it_alone() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let (a, b) = coalesced_pair(&engine, "", r#", "deadline_ms": 50"#);
@@ -1339,10 +1291,10 @@ mod tests {
     fn cancelling_a_queued_job_is_immediate() {
         // Zero workers: the job can never be popped, so only the new
         // immediate transition can settle it.
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 0,
             queue_depth: 8,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let id = engine
@@ -1362,10 +1314,10 @@ mod tests {
 
     #[test]
     fn cancelling_one_coalesced_id_detaches_without_killing_the_run() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         // dp_small takes long enough that the duplicates attach while
@@ -1397,10 +1349,10 @@ mod tests {
 
     #[test]
     fn cancelling_the_primary_keeps_waiters_alive() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let spec = r#"{"design": {"preset": "dp_small", "seed": 71}}"#;
@@ -1422,10 +1374,10 @@ mod tests {
     fn queue_backpressure_rejects_when_full() {
         // Zero workers and distinct seeds: nothing drains and nothing
         // coalesces, so the bound is exact.
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 0,
             queue_depth: 2,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let spec = |seed: u64| {
@@ -1445,10 +1397,10 @@ mod tests {
 
     #[test]
     fn chaos_panic_is_isolated_to_its_job() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let bad = engine
@@ -1469,11 +1421,11 @@ mod tests {
 
     #[test]
     fn terminal_records_are_evicted_beyond_retention() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
             retain_terminal: 2,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let ids: Vec<u64> = (0..4)
@@ -1502,11 +1454,11 @@ mod tests {
     fn restart_with_state_dir_replays_terminal_results() {
         let dir = tempdir("replay");
         let spec = r#"{"design": {"preset": "dp_tiny", "seed": 81}}"#;
-        let cfg = || EngineConfig {
+        let cfg = || ServerConfig {
             workers: 1,
             queue_depth: 8,
             state_dir: Some(dir.clone()),
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         };
         let (id, body) = {
             let engine = Engine::start(cfg()).unwrap();
@@ -1528,7 +1480,7 @@ mod tests {
         }
         // Zero workers: anything the restarted engine serves must come
         // from replay, not from re-running placement.
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 0,
             ..cfg()
         })
@@ -1570,11 +1522,11 @@ mod tests {
                 })
                 .unwrap();
         }
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 0,
             queue_depth: 8,
             state_dir: Some(dir.clone()),
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         // The old job still answers under its id…
@@ -1599,11 +1551,11 @@ mod tests {
     fn tiny_cache_budget_disables_reuse_but_nothing_else() {
         // A 100-byte budget holds no result body: the LRU never admits
         // one, so duplicates re-run — the budget is respected end to end.
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
             cache_bytes: 100,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let spec = r#"{"design": {"preset": "dp_tiny", "seed": 91}}"#;
@@ -1626,10 +1578,10 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queued_jobs() {
-        let engine = Engine::start(EngineConfig {
+        let engine = Engine::start(ServerConfig {
             workers: 1,
             queue_depth: 8,
-            ..EngineConfig::default()
+            ..ServerConfig::default()
         })
         .unwrap();
         let ids: Vec<u64> = (0..3)

@@ -40,7 +40,7 @@ mod store;
 pub mod client;
 
 pub use canon::spec_hash;
-pub use engine::{error_body, Engine, EngineConfig, JobState, SubmitError};
+pub use engine::{error_body, Engine, JobState, SubmitError};
 pub use spec::{parse_spec, CaseSource, JobSpec, SpecError, MAX_DEADLINE_MS};
 
 use sdp_json::Json;
@@ -49,7 +49,8 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Server-level configuration.
+/// Server configuration: the HTTP port, and the job engine's worker
+/// pool, queue bound, retention, cache budget and persistence.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// TCP port on 127.0.0.1; `0` picks an ephemeral port (tests).
@@ -65,10 +66,12 @@ pub struct ServerConfig {
     /// (`--cache-bytes`; `0` disables caching).
     pub cache_bytes: usize,
     /// Directory for the persistent job store (`--state-dir`); `None`
-    /// keeps all state in memory.
+    /// keeps all state in memory. The log inside is replayed on startup.
     pub state_dir: Option<std::path::PathBuf>,
     /// Default kernel threads for jobs whose spec leaves `gp.threads`
-    /// at 0 (`--threads`; `0` keeps "available parallelism").
+    /// at 0 (`--threads`; `0` keeps "available parallelism"). Never part
+    /// of the canonical hash: results are bitwise identical at every
+    /// thread count.
     pub threads: usize,
 }
 
@@ -95,14 +98,7 @@ impl Server {
     pub fn start(cfg: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(("127.0.0.1", cfg.port))?;
         let port = listener.local_addr()?.port();
-        let engine = Arc::new(Engine::start(EngineConfig {
-            workers: cfg.workers,
-            queue_depth: cfg.queue_depth,
-            retain_terminal: cfg.retain_terminal,
-            cache_bytes: cfg.cache_bytes,
-            state_dir: cfg.state_dir.clone(),
-            default_threads: cfg.threads,
-        })?);
+        let engine = Arc::new(Engine::start(cfg)?);
         let shutting = Arc::new(AtomicBool::new(false));
 
         let accept = {
